@@ -8,8 +8,17 @@ rebuild per mutation batch would charge every request O(build) for a
 delta that touched a handful of grid cells.
 
 :class:`IncrementalNeighborhood` retains the grid plan of the initial
-build — origin, cell edge, offset classification — and maintains the
-adjacency under mutation:
+build — origin, cell edge, offset classification — and keeps the
+adjacency as two flat CSR levels over global ids:
+
+* **base** — the initial build, rows ``0..n0-1``, never modified;
+* **overlay** — every edge an append added since, one ``indptr`` over
+  all ``n`` ids plus ``int32`` ``indices``.
+
+A row is (base slice) + (overlay slice), already ascending: a base row
+holds only ids below ``n0`` and the overlay only ids that arrived
+later, and within the overlay every batch's ids exceed every earlier
+batch's, so each merge appends a row's new entries after its old ones.
 
 * **append**: new points are binned with the *original* origin/cell
   (keys may go negative; the cell directory is keyed by tuple, so the
@@ -18,15 +27,13 @@ adjacency under mutation:
   :func:`~repro.graph.csr._classify_offsets` bound classes — provably
   in-radius cell pairs contribute edges *without computing a distance*,
   boundary pairs fall back to one vectorised ``metric.pairwise`` block.
-  Cost is proportional to the touched cells' neighborhoods, not n.
+  The batch's forward and reverse edges are sorted once by (row, col)
+  and inserted at their rows' ends in one pass.  Cost is the touched
+  cells' neighborhoods plus one linear copy of the overlay.
 * **delete**: a deletion is an alive-mask concern, not a structural
   one — edges are geometric facts about points, so nothing is unlinked.
-  :meth:`snapshot_csr` filters dead endpoints out when compacting.
-
-Rows stay ascending without any re-sorting: every appended batch holds
-strictly larger ids than everything before it, so a row is (base part)
-+ (overlay chunks in arrival order) — each chunk's smallest id exceeds
-the previous chunk's largest.
+  :meth:`snapshot_csr` filters dead endpoints out when compacting, in
+  one vectorised pass over both levels.
 
 The edge set is *identical* to a fresh
 :func:`~repro.graph.csr.build_csr_grid` /
@@ -60,6 +67,29 @@ from repro.validation import validate_radius
 __all__ = ["IncrementalNeighborhood"]
 
 
+def _compact_level(
+    indptr: np.ndarray, indices: np.ndarray, alive: np.ndarray, lookup: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One CSR level filtered to alive endpoints and remapped to local ids.
+
+    Returns ``(counts, local)``: each row's surviving entry count and
+    the survivors' local ids in stream (row, then column) order.  The
+    lookup marks dead ids ``-1``, so one gather both remaps and filters
+    the columns; a segmented sum over the non-empty rows counts them.
+    """
+    local = lookup[indices]
+    degree = np.diff(indptr)
+    keep = local >= 0
+    keep &= np.repeat(alive[: degree.size], degree)
+    counts = np.zeros(degree.size, dtype=np.int64)
+    nonempty = np.flatnonzero(degree)
+    if nonempty.size:
+        counts[nonempty] = np.add.reduceat(
+            keep, indptr[nonempty], dtype=np.int32
+        )
+    return counts, local[keep]
+
+
 class IncrementalNeighborhood:
     """Fixed-radius adjacency over a growing point set with tombstones.
 
@@ -80,11 +110,11 @@ class IncrementalNeighborhood:
         self.n = int(points.shape[0])
         self.dim = int(points.shape[1])
         self._points = points
-        #: Appends since construction, as (row -> extra neighbor chunks).
-        #: Chunk ids are strictly increasing across chunks, so rows stay
-        #: ascending by construction.
-        self._overlay: Dict[int, List[np.ndarray]] = {}
-        self._overlay_nnz = 0
+        #: Appends since construction as a CSR over all ``n`` global
+        #: ids; every row ascending, every id later than the row's base
+        #: neighbors.
+        self._overlay_indptr = np.zeros(self.n + 1, dtype=np.int64)
+        self._overlay_indices = np.empty(0, dtype=np.int32)
 
         if self.n:
             plan = _plan_grid(points, metric, radius, None)
@@ -101,17 +131,17 @@ class IncrementalNeighborhood:
         self._offsets, self._classes = _classify_offsets(
             metric, radius, self.cell, self.dim, self.resolution
         )
-        #: Occupied cell -> member id chunks (append-ordered, ascending).
-        self._cells: Dict[Tuple[int, ...], List[np.ndarray]] = {}
+        #: Occupied cell -> member ids (ascending).
+        self._cells: Dict[Tuple[int, ...], np.ndarray] = {}
         if self.n:
             keys = np.floor((points - self._origin) / self.cell).astype(np.int64)
             token = current_token()
             for i, group in enumerate(group_points_by_cell(keys)):
                 if token is not None and i % 64 == 0:
                     token.checkpoint()
-                self._cells[tuple(keys[group[0]].tolist())] = [
-                    group.astype(np.int32)
-                ]
+                self._cells[tuple(keys[group[0]].tolist())] = group.astype(
+                    np.int32
+                )
             self._base = _assemble_grid_csr(points, metric, radius, plan)
         else:
             self._base = CSRNeighborhood.empty()
@@ -120,28 +150,28 @@ class IncrementalNeighborhood:
     @property
     def nnz(self) -> int:
         """Directed adjacency entries, base plus overlay."""
-        return self._base.nnz + self._overlay_nnz
+        return self._base.nnz + int(self._overlay_indptr[-1])
 
     @property
     def nbytes(self) -> int:
-        overlay = sum(
-            chunk.nbytes
-            for chunks in self._overlay.values()
-            for chunk in chunks
+        """Resident footprint of the four CSR arrays (O(1))."""
+        return int(
+            self._base.nbytes
+            + self._overlay_indptr.nbytes
+            + self._overlay_indices.nbytes
         )
-        return int(self._base.nbytes + overlay)
 
     def row(self, object_id: int) -> np.ndarray:
         """All neighbor ids of ``object_id`` (ascending, alive or not)."""
-        parts: List[np.ndarray] = []
-        if object_id < self._base.n:
-            parts.append(self._base.neighbors(object_id))
-        parts.extend(self._overlay.get(int(object_id), ()))
-        if not parts:
-            return np.empty(0, dtype=np.int32)
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
+        object_id = int(object_id)
+        ptr = self._overlay_indptr
+        overlay = self._overlay_indices[ptr[object_id] : ptr[object_id + 1]]
+        if object_id >= self._base.n:
+            return overlay
+        base = self._base.neighbors(object_id)
+        if overlay.size == 0:
+            return base
+        return np.concatenate([base, overlay])
 
     # ------------------------------------------------------------------
     # Mutation
@@ -152,7 +182,8 @@ class IncrementalNeighborhood:
         ``points`` is the live dataset's *full* coordinate array after
         the mutation (the new rows are its tail); the reference replaces
         the one held so far.  Returns the new ids.  Cost: candidate
-        gathering over the cells within reach of the touched cells only.
+        gathering over the cells within reach of the touched cells, plus
+        one linear merge of the batch's edges into the overlay.
         """
         points = np.asarray(points, dtype=float)
         if points.shape[0] != self.n + count or points.shape[1] != self.dim:
@@ -170,66 +201,58 @@ class IncrementalNeighborhood:
         keys = np.floor((new_points - self._origin) / self.cell).astype(np.int64)
         groups = group_points_by_cell(keys)
         # Register the batch in the cell directory first, so batch-mates
-        # in reach of each other are candidates like anyone else.
+        # in reach of each other are candidates like anyone else.  Batch
+        # ids exceed every registered id, so cells stay ascending.
         token = current_token()
         for i, group in enumerate(groups):
             if token is not None and i % 64 == 0:
                 token.checkpoint()
             key = tuple(keys[group[0]].tolist())
-            self._cells.setdefault(key, []).append(
-                (group + start).astype(np.int32)
-            )
+            ids = (group + start).astype(np.int32)
+            known = self._cells.get(key)
+            self._cells[key] = ids if known is None else np.concatenate([known, ids])
 
-        auto = self._classes == _PAIR_AUTO
+        auto = (self._classes == _PAIR_AUTO).tolist()
+        sources: List[np.ndarray] = []
+        targets: List[np.ndarray] = []
         for i, group in enumerate(groups):
             if token is not None and i % 16 == 0:
                 token.checkpoint()
-            key = keys[group[0]]
-            members = (group + start).astype(np.int64)
-            cand_chunks: List[np.ndarray] = []
+            reach = (keys[group[0]] + self._offsets).tolist()
+            cells: List[np.ndarray] = []
             auto_flags: List[bool] = []
-            for off, is_auto in zip(self._offsets, auto):
-                chunks = self._cells.get(tuple((key + off).tolist()))
-                if chunks is None:
-                    continue
-                cand_chunks.extend(chunks)
-                auto_flags.extend([bool(is_auto)] * len(chunks))
-            if not cand_chunks:
-                continue
-            candidates = np.concatenate(cand_chunks).astype(np.int64)
-            auto_mask = np.repeat(
-                np.asarray(auto_flags, dtype=bool),
-                np.fromiter(
-                    (c.size for c in cand_chunks),
-                    dtype=np.int64,
-                    count=len(cand_chunks),
-                ),
-            )
+            for key, is_auto in zip(reach, auto):
+                cell = self._cells.get(tuple(key))
+                if cell is not None:
+                    cells.append(cell)
+                    auto_flags.append(is_auto)
+            candidates = np.concatenate(cells).astype(np.int64)
+            auto_mask = np.repeat(auto_flags, [cell.size for cell in cells])
             order = np.argsort(candidates)
-            candidates = candidates[order]
-            auto_mask = auto_mask[order]
-            self._emit_group(members, candidates, auto_mask, start)
+            src, dst = self._group_edges(
+                group + start, candidates[order], auto_mask[order]
+            )
+            sources.append(src)
+            targets.append(dst)
+        self._merge_overlay(sources, targets, start)
         return new_ids
 
-    def _emit_group(
+    def _group_edges(
         self,
         members: np.ndarray,
         candidates: np.ndarray,
         auto_mask: np.ndarray,
-        batch_start: int,
-    ) -> None:
-        """Edges of one touched cell's members against its candidates.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Forward edges ``(member, neighbor)`` of one touched cell.
 
-        Forward rows (member -> hits) become the members' overlay
-        chunks; reverse edges are grouped per *pre-batch* candidate and
-        appended to those rows — batch-mates already see each other
-        through their own forward pass, so reverse-linking them too
-        would double the edge.
+        ``candidates`` is ascending with ``auto_mask`` flagging the
+        columns whose cell pair is provably within the radius.
         """
         compute_idx = np.flatnonzero(~auto_mask)
         compute_points = self._points[candidates[compute_idx]]
         chunk = pairwise_row_chunk(max(1, candidates.size), self.dim)
-        token = current_token()
+        src_parts: List[np.ndarray] = []
+        dst_parts: List[np.ndarray] = []
         for s in range(0, members.size, chunk):  # repro-lint: disable=checkpoint-in-hot-loop -- one block per iteration is bounded work; the caller's group loop checkpoints
             sub = members[s : s + chunk]
             hits = np.empty((sub.size, candidates.size), dtype=bool)
@@ -248,35 +271,40 @@ class IncrementalNeighborhood:
             hits[rows_ok, self_pos[rows_ok]] = False
 
             local_rows, local_cols = np.nonzero(hits)
-            cols = candidates[local_cols]
-            counts = np.bincount(local_rows, minlength=sub.size)
-            # Forward: each member's full (sorted) neighbor row so far.
-            bounds = np.zeros(sub.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=bounds[1:])
-            for j, member in enumerate(sub.tolist()):  # repro-lint: disable=checkpoint-in-hot-loop -- bounded by the pairwise chunk height; the caller's group loop checkpoints
-                row = cols[bounds[j] : bounds[j + 1]].astype(np.int32)
-                if row.size:
-                    self._overlay.setdefault(member, []).append(row)
-                    self._overlay_nnz += row.size
-            # Reverse: group the pre-batch endpoints by column.
-            old_mask = cols < batch_start
-            if not np.any(old_mask):
-                continue
-            old_cols = cols[old_mask]
-            old_rows = sub[local_rows[old_mask]].astype(np.int32)
-            order = np.argsort(old_cols, kind="stable")
-            old_cols = old_cols[order]
-            old_rows = old_rows[order]
-            boundaries = np.flatnonzero(np.diff(old_cols)) + 1
-            col_starts = np.concatenate(
-                ([0], boundaries, [old_cols.size])
-            )
-            for j in range(col_starts.size - 1):  # repro-lint: disable=checkpoint-in-hot-loop -- one touched pre-batch row per iteration; the caller's group loop checkpoints
-                lo, hi = col_starts[j], col_starts[j + 1]
-                target = int(old_cols[lo])
-                chunk_ids = old_rows[lo:hi]
-                self._overlay.setdefault(target, []).append(chunk_ids)
-                self._overlay_nnz += chunk_ids.size
+            src_parts.append(sub[local_rows])
+            dst_parts.append(candidates[local_cols])
+        return np.concatenate(src_parts), np.concatenate(dst_parts)
+
+    def _merge_overlay(
+        self, sources: List[np.ndarray], targets: List[np.ndarray], batch_start: int
+    ) -> None:
+        """Fold one batch's forward edges into the overlay CSR.
+
+        Each forward edge into a pre-batch point also needs its reverse
+        entry; batch-mates already see each other through their own
+        forward rows, so reverse-linking them too would double the edge.
+        The batch is sorted once by (row, col) and laid out behind each
+        row's existing entries — every batch id exceeds every id the
+        overlay already holds, so rows stay ascending.
+        """
+        fwd_src = np.concatenate(sources)
+        fwd_dst = np.concatenate(targets)
+        old = fwd_dst < batch_start
+        src = np.concatenate([fwd_src, fwd_dst[old]])
+        dst = np.concatenate([fwd_dst, fwd_src[old]])
+        order = np.argsort(src * np.int64(self.n) + dst)
+        src, dst = src[order], dst[order]
+
+        # Old rows keep their entries and gain the batch's at their end;
+        # rows the batch created start empty at the overlay's end.
+        ptr = self._overlay_indptr
+        indptr = np.concatenate(
+            [ptr, np.full(self.n + 1 - ptr.size, ptr[-1], dtype=np.int64)]
+        )
+        row_ends = indptr[src + 1]
+        indptr[1:] += np.cumsum(np.bincount(src, minlength=self.n))
+        self._overlay_indices = np.insert(self._overlay_indices, row_ends, dst)
+        self._overlay_indptr = indptr
 
     # ------------------------------------------------------------------
     # Compaction
@@ -289,63 +317,43 @@ class IncrementalNeighborhood:
         result equals a fresh grid/pairwise build over the alive points
         — same edges, same ascending rows — so cached snapshots can be
         migrated across dataset versions without breaking byte parity.
+
+        One vectorised pass: filter both levels' edges by ``alive`` and
+        remap them through an int32 lookup (monotone, so rows stay
+        ascending), then lay each row out as its base survivors followed
+        by its overlay survivors — ascending, see the module docstring.
         """
         alive = np.asarray(alive, dtype=bool)
         if alive.shape[0] != self.n:
             raise ValueError(
                 f"alive mask has {alive.shape[0]} entries for {self.n} ids"
             )
-        alive_ids = np.flatnonzero(alive)
-        lookup = np.full(self.n, -1, dtype=np.int64)
-        lookup[alive_ids] = np.arange(alive_ids.size, dtype=np.int64)
-
-        rows_acc: List[np.ndarray] = []
-        cols_acc: List[np.ndarray] = []
-        base = self._base
-        if base.nnz:
-            base_rows = base.row_ids().astype(np.int64)
-            # int64 temporaries for alive/lookup fancy indexing; the
-            # assembled CSR re-narrows indices to int32 in from_edges.
-            base_cols = base.indices.astype(np.int64)  # repro-lint: disable=dtype-discipline -- widened only for index arithmetic
-            keep = alive[base_rows] & alive[base_cols]
-            rows_acc.append(base_rows[keep])
-            cols_acc.append(base_cols[keep])
         token = current_token()
-        for i, (row_id, chunks) in enumerate(self._overlay.items()):
-            if token is not None and i % 256 == 0:
-                token.checkpoint()
-            if not alive[row_id]:
-                continue
-            cols = (
-                chunks[0].astype(np.int64)
-                if len(chunks) == 1
-                else np.concatenate(chunks).astype(np.int64)
-            )
-            cols = cols[alive[cols]]
-            if cols.size == 0:
-                continue
-            # Chunks of one batch may interleave (reverse edges arrive
-            # per touched cell); a per-row sort restores the ascending
-            # order the sort-free assembly below relies on.
-            cols.sort()
-            rows_acc.append(np.full(cols.size, row_id, dtype=np.int64))
-            cols_acc.append(cols)
-        if not rows_acc:
-            return CSRNeighborhood(
-                np.zeros(alive_ids.size + 1, dtype=np.int64),
-                np.empty(0, dtype=np.int32),
-            )
-        rows = lookup[np.concatenate(rows_acc)]
-        cols = lookup[np.concatenate(cols_acc)]
-        # Each row's columns are already ascending in stream order: the
-        # base CSR contributes (row-grouped, ascending) edges first, a
-        # pre-base row's overlay ids all exceed its base ids (appends
-        # only ever add newer ids), appended rows are overlay-only, and
-        # the local remap is monotone — so the assembly only needs the
-        # stable row grouping, not the full fused-key sort.
-        return CSRNeighborhood.from_edges(
-            rows, cols, int(alive_ids.size), cols_sorted_within_rows=True
+        if token is not None:
+            token.checkpoint()
+        alive_ids = np.flatnonzero(alive)
+        lookup = np.full(self.n, -1, dtype=np.int32)
+        lookup[alive_ids] = np.arange(alive_ids.size, dtype=np.int32)
+
+        n0 = self._base.n
+        base_counts, base_local = _compact_level(
+            self._base.indptr, self._base.indices, alive, lookup
         )
+        overlay_counts, overlay_local = _compact_level(
+            self._overlay_indptr, self._overlay_indices, alive, lookup
+        )
+        # Each overlay survivor goes right after its row's base survivors.
+        row_ends = np.full(self.n, base_local.size, dtype=np.int64)
+        np.cumsum(base_counts, out=row_ends[:n0])
+        indices = np.insert(
+            base_local, np.repeat(row_ends, overlay_counts), overlay_local
+        )
+        counts = overlay_counts
+        counts[:n0] += base_counts
+        # Dead rows kept nothing: the alive rows' counts are the layout.
+        indptr = np.zeros(alive_ids.size + 1, dtype=np.int64)
+        np.cumsum(counts[alive_ids], out=indptr[1:])
+        return CSRNeighborhood(indptr, indices)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

@@ -199,23 +199,21 @@ def repair_selection_delta(
     # (local ids, a monotone remap), so argmax tie-breaks identically
     # and the two paths emit the same picks.
     u_arr = np.asarray(uncovered_ids, dtype=np.int64)
-    index_of = {int(g): i for i, g in enumerate(u_arr.tolist())}
     in_frontier = np.zeros(n_total, dtype=bool)
     if u_arr.size:
         in_frontier[u_arr] = True
-    sub_rows: list = []
-    counts = np.zeros(u_arr.shape[0], dtype=np.int64)
+    subs: list = []
     for i, gid in enumerate(u_arr.tolist()):
         if token is not None and i % CHECKPOINT_EVERY == 0:
             token.checkpoint()
         row = rows_of[gid]
-        sub = row[in_frontier[row]] if row.size else row
-        sub_rows.append(
-            np.asarray(
-                [index_of[int(x)] for x in sub.tolist()], dtype=np.int64
-            )
-        )
-        counts[i] = sub.size
+        subs.append(row[in_frontier[row]])
+    counts = np.fromiter(
+        (sub.size for sub in subs), dtype=np.int64, count=len(subs)
+    )
+    # Frontier ids -> positions in u_arr (ascending), in one pass.
+    flat = np.concatenate(subs) if subs else np.empty(0, dtype=np.int64)
+    sub_rows = np.split(np.searchsorted(u_arr, flat), np.cumsum(counts)[:-1])
 
     uncovered = np.ones(u_arr.shape[0], dtype=bool)
     added_global: list = []

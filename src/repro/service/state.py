@@ -529,9 +529,7 @@ class ServiceState:
             from repro.live.serving import LiveCacheView
 
             live = self.registry.get_live(handle.spec["name"])
-            return LiveCacheView(
-                self.cache, handle.dataset_id, handle.dataset.metric, live
-            )
+            return LiveCacheView(self.cache, handle, live)
         return self.cache.view(handle.dataset_id, handle.dataset.metric)
 
     def _drop_stale_live_indexes(self, name: str, keep_dataset_id: str) -> int:

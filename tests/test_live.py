@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import verify_disc
 from repro.datasets import Dataset
@@ -275,10 +277,90 @@ class TestLiveCacheView:
 
         live = _live(rng, n=40)
         manager = SharedCacheManager(max_entries=8)
-        view = LiveCacheView(manager, live.dataset_id, EUCLIDEAN, live)
+        view = LiveCacheView(manager, live.snapshot_handle(), live)
         first = view.get(RADIUS)
         assert first is live.adjacency_snapshot(RADIUS)[0]
         assert view.get(RADIUS) is first  # now a plain cache hit
         assert manager.hits >= 1
         # The build slot was resolved (counted) by the live path itself.
         assert manager.builds == 1
+
+    @pytest.mark.parametrize("tracked", [False, True])
+    def test_miss_resolves_at_the_views_version(self, rng, tracked):
+        """A ``/select`` that overlaps a ``/mutate`` must cache its own
+        version's graph under its own version's key, not the next one's."""
+        from repro.service.cache import SharedCacheManager
+
+        live = _live(rng, n=60)
+        if tracked:
+            live.adjacency_snapshot(RADIUS)
+        handle = live.snapshot_handle()
+        view = LiveCacheView(SharedCacheManager(max_entries=8), handle, live)
+        live.apply(inserts=rng.random((10, 2)), deletes=[0, 5, 9])
+        csr = view.get(RADIUS)
+        fresh = build_csr_pairwise(handle.dataset.points, EUCLIDEAN, RADIUS)
+        np.testing.assert_array_equal(csr.indptr, fresh.indptr)
+        np.testing.assert_array_equal(csr.indices, fresh.indices)
+
+
+#: Dense enough that ``_plan_grid`` keeps sub-radius cells (resolution
+#: 4), so appends exercise the auto (distance-free) cell pairs.
+CHURN_RADIUS = 0.1
+_batches = st.lists(
+    st.tuples(
+        st.integers(0, 12),  # inserts
+        st.sampled_from(["none", "some", "all"]),  # deletes
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _clustered(rng, centers, count, outlier_rate=0.0):
+    """Tight clusters around ``centers``, optionally with uniform outliers."""
+    points = centers[rng.integers(0, len(centers), count)]
+    points = points + rng.normal(0.0, 0.01, (count, 2))
+    outliers = rng.random(count) < outlier_rate
+    points[outliers] = rng.random((int(outliers.sum()), 2))
+    return points
+
+
+class TestIncrementalChurnProperty:
+    @given(seed=st.integers(0, 2**32 - 1), batches=_batches)
+    @example(seed=0, batches=[(8, "none"), (0, "some"), (5, "some")])
+    @example(seed=1, batches=[(0, "all"), (6, "none"), (0, "all"), (4, "none")])
+    @settings(
+        deadline=None, max_examples=30, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_snapshots_and_rows_match_fresh_builds(self, seed, batches):
+        rng = np.random.default_rng(seed)
+        centers = rng.random((3, 2))
+        points = _clustered(rng, centers, 200)
+        incremental = IncrementalNeighborhood(points, EUCLIDEAN, CHURN_RADIUS)
+        assert incremental.resolution == 4
+        alive = np.ones(points.shape[0], dtype=bool)
+        for inserts, deletes in batches:
+            if inserts:
+                batch = _clustered(rng, centers, inserts, outlier_rate=0.1)
+                points = np.concatenate([points, batch])
+                incremental.append(points, inserts)
+                alive = np.concatenate([alive, np.ones(inserts, dtype=bool)])
+            live_ids = np.flatnonzero(alive)
+            if deletes == "all":
+                alive[:] = False
+            elif deletes == "some" and live_ids.size:
+                size = int(rng.integers(1, live_ids.size // 4 + 2))
+                alive[rng.choice(live_ids, size=size, replace=False)] = False
+
+            snap = incremental.snapshot_csr(alive)
+            fresh = build_csr_pairwise(points[alive], EUCLIDEAN, CHURN_RADIUS)
+            assert snap.indptr.dtype == fresh.indptr.dtype
+            assert snap.indices.dtype == fresh.indices.dtype
+            np.testing.assert_array_equal(snap.indptr, fresh.indptr)
+            np.testing.assert_array_equal(snap.indices, fresh.indices)
+            # row() is the uncompacted view: every neighbor, dead or not.
+            full = build_csr_pairwise(points, EUCLIDEAN, CHURN_RADIUS)
+            for i in range(points.shape[0]):
+                row = incremental.row(i)
+                assert row.dtype == np.int32
+                np.testing.assert_array_equal(row, full.neighbors(i))
