@@ -16,7 +16,11 @@ Every metric exposes three operations, all NumPy-vectorised:
 ``to_point(X, p)``
     distances from every row of ``X`` to the single point ``p``,
 ``pairwise(X, Y=None)``
-    the full distance matrix (used by baselines and the test oracle).
+    the full distance matrix (used by baselines and the test oracle),
+``paired(X, Y)``
+    row-aligned distances ``dist(X[i], Y[i])`` (the grid builders'
+    candidate-pair test), bit-identical to the matching entries of
+    ``pairwise``.
 
 Metrics are stateless and hashable, so a single module-level instance per
 metric is shared freely (``EUCLIDEAN``, ``MANHATTAN``, ...).
@@ -96,6 +100,21 @@ class Metric(abc.ABC):
             out[i] = self.to_point(Y, X[i])
         return out
 
+    def paired(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Return ``dist(X[i], Y[i])`` for every row pair, shape ``(n,)``.
+
+        Bit-identical to ``pairwise(X, Y)[i, i]``.  The generic
+        implementation calls :meth:`to_point` once per pair, like the
+        generic :meth:`pairwise`; subclasses override it with the same
+        accumulation order as their closed-form ``pairwise``.
+        """
+        X = np.asarray(X)
+        Y = np.asarray(Y)
+        out = np.empty(X.shape[0], dtype=float)
+        for i in range(X.shape[0]):
+            out[i] = self.to_point(Y[i : i + 1], X[i])[0]
+        return out
+
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"
 
@@ -148,6 +167,18 @@ class EuclideanMetric(Metric):
             out += np.multiply(diff, diff, out=diff)
         return np.sqrt(out, out=out)
 
+    def paired(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        if X.shape[1] == 0:
+            return np.zeros(X.shape[0], dtype=float)
+        diff = np.subtract(X[:, 0], Y[:, 0])
+        out = np.multiply(diff, diff)
+        for k in range(1, X.shape[1]):
+            np.subtract(X[:, k], Y[:, k], out=diff)
+            out += np.multiply(diff, diff, out=diff)
+        return np.sqrt(out, out=out)
+
 
 class ManhattanMetric(Metric):
     """The L1 metric, covered by the paper's Lemma 3 / Lemma 4(ii)."""
@@ -173,6 +204,17 @@ class ManhattanMetric(Metric):
         scratch = np.empty_like(out)
         for k in range(1, X.shape[1]):
             out += _abs_diff(X[:, k, None], Y[None, :, k], out=scratch)
+        return out
+
+    def paired(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        if X.shape[1] == 0:
+            return np.zeros(X.shape[0], dtype=float)
+        out = _abs_diff(X[:, 0], Y[:, 0])
+        scratch = np.empty_like(out)
+        for k in range(1, X.shape[1]):
+            out += _abs_diff(X[:, k], Y[:, k], out=scratch)
         return out
 
 
@@ -202,6 +244,17 @@ class ChebyshevMetric(Metric):
             np.maximum(out, _abs_diff(X[:, k, None], Y[None, :, k], out=scratch), out=out)
         return out
 
+    def paired(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        if X.shape[1] == 0:
+            return np.zeros(X.shape[0], dtype=float)
+        out = _abs_diff(X[:, 0], Y[:, 0])
+        scratch = np.empty_like(out)
+        for k in range(1, X.shape[1]):
+            np.maximum(out, _abs_diff(X[:, k], Y[:, k], out=scratch), out=out)
+        return out
+
 
 class MinkowskiMetric(Metric):
     """The general Lp metric for ``p >= 1`` (p < 1 violates the triangle
@@ -220,6 +273,12 @@ class MinkowskiMetric(Metric):
 
     def to_point(self, X: np.ndarray, p: np.ndarray) -> np.ndarray:
         diff = np.abs(np.asarray(X, dtype=float) - np.asarray(p, dtype=float))
+        return np.sum(diff**self.p, axis=1) ** (1.0 / self.p)
+
+    def paired(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        # The generic pairwise evaluates ``to_point(Y, X[i])`` row by
+        # row: the same elementwise power and per-row sum as here.
+        diff = np.abs(np.asarray(Y, dtype=float) - np.asarray(X, dtype=float))
         return np.sum(diff**self.p, axis=1) ** (1.0 / self.p)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

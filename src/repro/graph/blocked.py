@@ -436,41 +436,35 @@ def _finish_blocked(
     csr = _assemble_grid_csr(
         points, metric, radius, plan, stats=stats, pair_keep=~pair_blocked
     )
-    undirected = pair_blocked & (plan.pair_src <= plan.pair_dst)
-    sides: List[np.ndarray] = []
-    partner: List[int] = []
-    is_clique: List[bool] = []
     token = current_token()
-    for pair_no, (src, dst) in enumerate(zip(
-        plan.pair_src[np.flatnonzero(undirected)],
-        plan.pair_dst[np.flatnonzero(undirected)],
-    )):
-        if token is not None and pair_no % 256 == 0:
-            token.checkpoint()
-        if src == dst:
-            sides.append(plan.groups[src])
-            partner.append(len(sides) - 1)
-            is_clique.append(True)
-        else:
-            sides.append(plan.groups[src])
-            sides.append(plan.groups[dst])
-            partner.extend((len(sides) - 1, len(sides) - 2))
-            is_clique.extend((False, False))
-    side_ptr = np.zeros(len(sides) + 1, dtype=np.int64)
-    if sides:
-        np.cumsum(
-            np.fromiter((s.size for s in sides), dtype=np.int64, count=len(sides)),
-            out=side_ptr[1:],
-        )
-        side_members = np.concatenate(sides).astype(np.int32)
-    else:
-        side_members = np.empty(0, dtype=np.int32)
+    if token is not None:
+        token.checkpoint()
+    # One clique side per blocked self pair, two biclique sides (source
+    # then destination, partnering each other) per blocked cross pair,
+    # in pair-table order.
+    undirected = np.flatnonzero(pair_blocked & (plan.pair_src <= plan.pair_dst))
+    src = plan.pair_src[undirected]
+    dst = plan.pair_dst[undirected]
+    clique = src == dst
+    cross = ~clique
+    side_count = 2 - clique.astype(np.int64)
+    first = np.cumsum(side_count) - side_count
+    second = first[cross] + 1
+    side_cell = np.empty(int(side_count.sum()), dtype=np.int64)
+    side_cell[first] = src
+    side_cell[second] = dst[cross]
+    side_partner = np.empty(side_cell.size, dtype=np.int64)
+    side_partner[first] = first + cross
+    side_partner[second] = second - 1
+    positions, lengths = _flat_row_positions(plan.member_ptr, side_cell)
+    side_ptr = np.zeros(side_cell.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=side_ptr[1:])
     return BlockedNeighborhood(
         csr,
         side_ptr,
-        side_members,
-        np.asarray(partner, dtype=np.int64),
-        np.asarray(is_clique, dtype=bool),
+        plan.members[positions].astype(np.int32),
+        side_partner,
+        np.repeat(clique, side_count),
     )
 
 

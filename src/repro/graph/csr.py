@@ -20,10 +20,20 @@ Builders
 :func:`build_csr_pairwise`
     chunked vectorised ``metric.pairwise`` over row blocks; exact for
     every metric and the default for :class:`BruteForceIndex`.
+:func:`build_csr_grid`
+    grid binning with analytic cell-pair bounds (skip / auto / compute)
+    for the Minkowski family.  One plan (:func:`_plan_grid`) feeds this
+    flat build, the blocked build (:mod:`repro.graph.blocked`) and the
+    live adjacency's base (:mod:`repro.graph.incremental`), all
+    assembled by :func:`_assemble_grid_csr`: a sorted candidate table
+    per source cell, then rows expanded in ascending id order in
+    bounded batches of large array passes (``np.take``, one
+    row-aligned ``metric.paired`` per batch, ``np.compress``).  No
+    Python runs per cell or per row, and NumPy drops the GIL inside
+    those passes, so concurrent cold builds use every core.
 :meth:`CSRNeighborhood.from_edges` / :meth:`from_rows`
     assemble a CSR from edge arrays or per-row neighbor lists; used by
-    the grid (cell-blocked candidate generation) and KD-tree
-    (``query_pairs``) indexes.
+    the KD-tree (``query_pairs``) index.
 
 The adjacency is immutable once built; algorithms carry their mutable
 state (colors, counts) in separate dense arrays.
@@ -363,20 +373,32 @@ def build_csr_pairwise(
     return CSRNeighborhood.from_edges(rows, cols, n, cols_sorted_within_rows=True)
 
 
-def group_points_by_cell(keys: np.ndarray) -> List[np.ndarray]:
-    """Group row indices by identical integer cell keys.
+def _cell_members(keys: np.ndarray):
+    """Row indices grouped by identical integer cell keys, flat.
 
-    One index array per occupied cell; the stable sort keeps row ids
-    ascending within each group.  Shared by the grid-binned CSR
-    builder and :class:`~repro.index.grid.GridIndex`'s batch queries.
+    Returns ``(members, ptr)``: cell ``c`` holds ``members[ptr[c]:
+    ptr[c+1]]``, cells in lexicographic key order and the stable sort
+    keeps row ids ascending within each cell.
     """
     keys = np.asarray(keys)
-    order = np.lexsort(keys.T[::-1])
-    sorted_keys = keys[order]
+    members = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[members]
     boundaries = (
         np.nonzero(np.any(np.diff(sorted_keys, axis=0) != 0, axis=1))[0] + 1
     )
-    return np.split(order, boundaries)
+    ptr = np.concatenate(([0], boundaries, [members.size])).astype(np.int64)
+    return members, ptr
+
+
+def group_points_by_cell(keys: np.ndarray) -> List[np.ndarray]:
+    """Group row indices by identical integer cell keys.
+
+    One index array per occupied cell (the split form of
+    :func:`_cell_members`); used by :class:`~repro.index.grid.
+    GridIndex`'s batch queries and the live adjacency's cell directory.
+    """
+    members, ptr = _cell_members(keys)
+    return np.split(members, ptr[1:-1])
 
 
 #: Relative safety margin applied to the analytic cell-pair distance
@@ -510,31 +532,39 @@ class _GridPlan:
     and the cell-pair classification; both the flat CSR builder and the
     blocked builder (:mod:`repro.graph.blocked`) consume one plan, so
     their notion of "provably dense cell pair" is identical by
-    construction.
+    construction.  Cells are stored flat: cell ``c`` holds the ids
+    ``members[member_ptr[c]:member_ptr[c+1]]`` (ascending) and has the
+    integer key ``ukeys[c]``.
     """
 
     n: int
     dim: int
     cell: float
     resolution: int
-    groups: List[np.ndarray]
-    sizes: np.ndarray
+    members: np.ndarray
+    member_ptr: np.ndarray
+    ukeys: np.ndarray
     pair_src: np.ndarray
     pair_dst: np.ndarray
     pair_cls: np.ndarray
-    cell_ptr: np.ndarray
 
     @property
     def m(self) -> int:
         """Occupied cell count."""
-        return len(self.groups)
+        return self.member_ptr.shape[0] - 1
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Member count of every occupied cell."""
+        return np.diff(self.member_ptr)
 
     def pair_products(self) -> np.ndarray:
         """Candidate-pair count of every directed cell pair (self pairs
         counted as ``s * (s - 1)``: no self loops)."""
-        products = self.sizes[self.pair_src] * self.sizes[self.pair_dst]
+        sizes = self.sizes
+        products = sizes[self.pair_src] * sizes[self.pair_dst]
         self_pairs = self.pair_src == self.pair_dst
-        products[self_pairs] -= self.sizes[self.pair_src[self_pairs]]
+        products[self_pairs] -= sizes[self.pair_src[self_pairs]]
         return products
 
 
@@ -550,27 +580,78 @@ def _plan_grid(
     cell = float(radius) / resolution if radius > 0 else 1.0
     origin = points.min(axis=0)
     keys = np.floor((points - origin) / cell).astype(np.int64)
-    groups = group_points_by_cell(keys)
-    if resolution > 1 and len(groups) > n // 4:
+    members, member_ptr = _cell_members(keys)
+    if resolution > 1 and member_ptr.size - 1 > n // 4:
         # Sparse occupancy: mostly-singleton cells mean the auto class
         # almost never fires while the finer grid multiplies the cell
-        # loop; fall back to radius-sized cells.
+        # pairs; fall back to radius-sized cells.
         resolution = 1
         cell = float(radius) if radius > 0 else 1.0
         keys = np.floor((points - origin) / cell).astype(np.int64)
-        groups = group_points_by_cell(keys)
+        members, member_ptr = _cell_members(keys)
 
-    m = len(groups)
-    sizes = np.fromiter((g.size for g in groups), dtype=np.int64, count=m)
-    ukeys = keys[np.fromiter((g[0] for g in groups), dtype=np.int64, count=m)]
+    ukeys = keys[members[member_ptr[:-1]]]
     offsets, classes = _classify_offsets(metric, radius, cell, dim, resolution)
     pair_src, pair_dst, pair_cls = _cell_pair_table(ukeys, offsets, classes)
-    cell_ptr = np.searchsorted(pair_src, np.arange(m + 1))
     return _GridPlan(
-        n=n, dim=dim, cell=cell, resolution=resolution, groups=groups,
-        sizes=sizes, pair_src=pair_src, pair_dst=pair_dst, pair_cls=pair_cls,
-        cell_ptr=cell_ptr,
+        n=n, dim=dim, cell=cell, resolution=resolution, members=members,
+        member_ptr=member_ptr, ukeys=ukeys, pair_src=pair_src,
+        pair_dst=pair_dst, pair_cls=pair_cls,
     )
+
+
+def _batch_pair_bytes(dim: int) -> int:
+    """Budgeted bytes per candidate pair in one assembly batch.
+
+    Eight-byte words for the position, column, flag, distance scratch
+    and both gathered points, with headroom for the metric's
+    temporaries.  At d = 2 the default budget gives ~125k pairs per
+    batch, the measured sweet spot: larger batches spill the cache and
+    run slower, smaller ones pay more per-batch Python.
+    """
+    return 64 * (dim + 2)
+
+
+def _candidate_table(plan: _GridPlan, cell_of: np.ndarray, pair_keep):
+    """Every source cell's candidates as one flat id-ascending table.
+
+    The destination members of every kept directed cell pair are
+    gathered in one pass (:func:`_flat_row_positions` over the
+    cell-ordered ids), tagged with the pair's source cell and class,
+    and ordered by a single sort on the fused ``(source cell, id,
+    compute bit)`` key — unique per entry, so each source cell's
+    segment comes out ascending by id with its class riding along.
+
+    Returns ``(cand, auto, seg_ptr, comp_len, self_off)``: cell ``c``'s
+    candidates are ``cand[seg_ptr[c]:seg_ptr[c+1]]`` (int32), ``auto``
+    flags the provably in-radius ones, ``comp_len[c]`` counts the
+    segment's compute entries and ``self_off[p]`` is the offset of
+    ``p`` in its own cell's segment (-1 when that self pair is not
+    kept).
+    """
+    n, m = plan.n, plan.m
+    src, dst, cls = plan.pair_src, plan.pair_dst, plan.pair_cls
+    if pair_keep is not None:
+        src, dst, cls = src[pair_keep], dst[pair_keep], cls[pair_keep]
+    is_compute = cls != _PAIR_AUTO
+    positions, lengths = _flat_row_positions(plan.member_ptr, dst)
+    key = np.repeat(src * (2 * n) + is_compute, lengths)
+    key += 2 * plan.members[positions]
+    del positions
+    key.sort()
+    auto = (key & 1) == 0
+    key >>= 1
+    owner, cand = np.divmod(key, n)
+    seg_len = np.bincount(src, weights=lengths, minlength=m).astype(np.int64)
+    seg_ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(seg_len, out=seg_ptr[1:])
+    comp_len = np.bincount(
+        src, weights=lengths * is_compute, minlength=m
+    ).astype(np.int64)
+    own = np.flatnonzero(owner == cell_of[cand])
+    self_off = np.full(n, -1, dtype=np.int64)
+    self_off[cand[own]] = own - seg_ptr[owner[own]]
+    return cand.astype(np.int32), auto, seg_ptr, comp_len, self_off
 
 
 def _assemble_grid_csr(
@@ -586,102 +667,68 @@ def _assemble_grid_csr(
 
     ``pair_keep`` (boolean over the directed pair table) lets the
     blocked builder route provably-dense pairs around the edge list;
-    ``None`` keeps everything (the flat build).  Every object's row is
-    produced in full (ascending columns) by its own cell's block, so
-    the CSR is assembled by a counting layout — no global edge sort.
-    Emitted blocks hold (members, their per-member neighbor counts,
-    concatenated int32 columns).
+    ``None`` keeps everything (the flat build).
+
+    Object ``p``'s row is its cell's segment of the candidate table
+    (:func:`_candidate_table`) filtered to the edges: auto entries are
+    kept outright, compute entries by one row-aligned
+    ``metric.paired`` test, and the self entry is dropped.  Rows are
+    expanded in ascending id order, in batches of candidate pairs sized
+    from :data:`DEFAULT_BLOCK_BYTES`, so each batch's
+    kept columns are the next slice of ``indices`` and its per-row
+    counts are the degrees: a handful of large array passes per batch,
+    with no per-cell Python and no placement scatter.
     """
-    n, dim = plan.n, plan.dim
-    groups, sizes = plan.groups, plan.sizes
-    pair_dst, pair_cls, cell_ptr = plan.pair_dst, plan.pair_cls, plan.cell_ptr
-    degrees = np.zeros(n, dtype=np.int64)
-    blocks: List[tuple] = []
-
-    def emit(members: np.ndarray, lengths: np.ndarray, cols: np.ndarray) -> None:
-        degrees[members] = lengths
-        blocks.append((members, lengths, cols))
-
-    token = current_token()
-    for i in range(plan.m):
-        # One cell is bounded work; checking every 64 keeps the
-        # cancellation latency tiny without touching the profile.
-        if token is not None and i % 64 == 0:
-            token.checkpoint()
-        lo, hi = cell_ptr[i], cell_ptr[i + 1]
-        members = groups[i]
-        dsts = pair_dst[lo:hi]
-        cls = pair_cls[lo:hi]
-        if pair_keep is not None:
-            keep_mask = pair_keep[lo:hi]
-            dsts = dsts[keep_mask]
-            cls = cls[keep_mask]
-        if dsts.size == 0:
-            continue  # all pairs routed to dense blocks: empty rows
-        # Whether the cell's own (i, i) pair survived — when it is
-        # routed to a clique block the members are absent from their
-        # own candidate list and need no self masking.
-        has_self = bool((dsts == i).any())
-        candidates = np.concatenate([groups[j] for j in dsts])
-        auto_mask = np.repeat(cls == _PAIR_AUTO, sizes[dsts])
-        order = np.argsort(candidates)
-        candidates = candidates[order]
-        auto_mask = auto_mask[order]
-        candidates32 = candidates.astype(np.int32)
-
-        compute_idx = np.flatnonzero(~auto_mask)
-        if compute_idx.size == 0:
-            # Every candidate is provably within the radius: the edge
-            # list is pure index arithmetic, no distances at all.  Only
-            # each member's self entry needs masking out.
-            k = candidates.size
-            cols = np.tile(candidates32, members.size)
-            if has_self:
-                keep = np.ones(members.size * k, dtype=bool)
-                self_pos = np.searchsorted(candidates, members)
-                keep[self_pos + np.arange(members.size) * k] = False
-                emit(members, np.full(members.size, k - 1), cols[keep])
-            else:
-                emit(members, np.full(members.size, k), cols)
-            continue
-
-        # Dense cells (clustered data) can hold thousands of members
-        # against tens of thousands of candidates; honour the block
-        # budget by chunking members like every other pairwise path.
-        compute_points = points[candidates[compute_idx]]
-        chunk = pairwise_row_chunk(candidates.size, dim)
-        for start in range(0, members.size, chunk):
-            sub = members[start : start + chunk]
-            hits = np.empty((sub.size, candidates.size), dtype=bool)
-            hits[:] = auto_mask  # auto columns are edges unconditionally
-            block = metric.pairwise(points[sub], compute_points)
-            if stats is not None:
-                stats.distance_computations += block.size
-            hits[:, compute_idx] = block <= radius
-            if has_self:
-                # Self is always a hit (distance 0 or an auto column).
-                hits[np.arange(sub.size), np.searchsorted(candidates, sub)] = False
-            local_rows, local_cols = np.nonzero(hits)
-            emit(
-                sub,
-                np.bincount(local_rows, minlength=sub.size),
-                candidates32[local_cols],
-            )
-
+    n = plan.n
+    cell_of = np.empty(n, dtype=np.int64)
+    cell_of[plan.members] = np.repeat(np.arange(plan.m, dtype=np.int64), plan.sizes)
+    cand, auto, seg_ptr, comp_len, self_off = _candidate_table(
+        plan, cell_of, pair_keep
+    )
+    row_len = np.diff(seg_ptr)[cell_of]
+    row_end = np.cumsum(row_len)
+    batch_pairs = max(1, DEFAULT_BLOCK_BYTES // _batch_pair_bytes(plan.dim))
+    batch_of = (row_end - row_len) // batch_pairs
+    cuts = np.concatenate(([0], np.flatnonzero(np.diff(batch_of)) + 1, [n]))
+    # An upper bound on nnz (every candidate an edge); the untouched
+    # tail is never paged in and is released by the final shrink.
+    self_count = int(np.count_nonzero(self_off >= 0))
+    indices = np.empty(int(row_end[-1]) - self_count, dtype=np.int32)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int32)
-    for members, lengths, cols in blocks:
-        if cols.size == 0:
-            continue
-        starts = np.zeros(members.size, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        positions = (
-            np.arange(cols.size, dtype=np.int64)
-            - np.repeat(starts, lengths)
-            + np.repeat(indptr[members], lengths)
-        )
-        indices[positions] = cols
+    degrees = indptr[1:]
+    filled = 0
+    token = current_token()
+    # np.take / np.compress rather than fancy and boolean indexing:
+    # several times faster on these flat gathers and compactions.
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        if token is not None:
+            token.checkpoint()
+        cells = cell_of[lo:hi]
+        positions, lengths = _flat_row_positions(seg_ptr, cells)
+        cols = np.take(cand, positions)
+        keep = np.take(auto, positions)
+        del positions
+        compute = np.flatnonzero(~keep)
+        if compute.size:
+            keep[compute] = metric.paired(
+                np.repeat(points[lo:hi], comp_len[cells], axis=0),
+                np.take(points, np.take(cols, compute), axis=0),
+            ) <= radius
+            if stats is not None:
+                stats.distance_computations += compute.size
+        own = self_off[lo:hi]
+        starts = np.cumsum(lengths) - lengths
+        keep[(starts + own)[own >= 0]] = False
+        rows = np.flatnonzero(lengths)
+        if rows.size:
+            # Non-empty rows only: reduceat gives empty segments a
+            # stray element instead of zero.
+            degrees[lo + rows] = np.add.reduceat(keep, starts[rows], dtype=np.int64)
+        count = int(np.count_nonzero(keep))
+        np.compress(keep, cols, out=indices[filled : filled + count])
+        filled += count
+    indices.resize(filled, refcheck=False)
+    np.cumsum(degrees, out=degrees)
     return CSRNeighborhood(indptr, indices)
 
 

@@ -134,14 +134,14 @@ class IncrementalNeighborhood:
         #: Occupied cell -> member ids (ascending).
         self._cells: Dict[Tuple[int, ...], np.ndarray] = {}
         if self.n:
-            keys = np.floor((points - self._origin) / self.cell).astype(np.int64)
+            members = plan.members.astype(np.int32)
             token = current_token()
-            for i, group in enumerate(group_points_by_cell(keys)):
+            for i, key in enumerate(plan.ukeys.tolist()):
                 if token is not None and i % 64 == 0:
                     token.checkpoint()
-                self._cells[tuple(keys[group[0]].tolist())] = group.astype(
-                    np.int32
-                )
+                self._cells[tuple(key)] = members[
+                    plan.member_ptr[i] : plan.member_ptr[i + 1]
+                ]
             self._base = _assemble_grid_csr(points, metric, radius, plan)
         else:
             self._base = CSRNeighborhood.empty()

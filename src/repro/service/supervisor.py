@@ -174,8 +174,27 @@ class WorkerProcess:
         self.port: Optional[int] = None
         self.pid: Optional[int] = None
         self._lines: "queue.Queue[str]" = queue.Queue()
+        #: Set once :meth:`start` has returned or raised; a reaper waits
+        #: on it so a spawn still in flight cannot outlive teardown.
+        self.settled = threading.Event()
 
-    def start(self, timeout_s: float = WORKER_START_TIMEOUT_S) -> "WorkerProcess":
+    def start(
+        self,
+        timeout_s: float = WORKER_START_TIMEOUT_S,
+        abort: Optional[threading.Event] = None,
+    ) -> "WorkerProcess":
+        """Spawn the child and block until its ready line.
+
+        ``abort`` (set by a stopping supervisor) cancels the handshake:
+        the child is killed and reaped before :class:`WorkerStartupError`
+        is raised.
+        """
+        try:
+            return self._start(timeout_s, abort)
+        finally:
+            self.settled.set()
+
+    def _start(self, timeout_s: float, abort: Optional[threading.Event]) -> "WorkerProcess":
         import repro
 
         env = os.environ.copy()
@@ -204,6 +223,10 @@ class WorkerProcess:
         ).start()
         deadline = time.monotonic() + timeout_s
         while True:
+            if abort is not None and abort.is_set():
+                self.kill()
+                self.wait(timeout=5.0)
+                raise WorkerStartupError(f"worker {self.worker_id}: supervisor stopping")
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self.kill()
@@ -375,6 +398,7 @@ class Supervisor:
         "_conn_tasks": "event-loop",
         "_mutation_logs": "event-loop",
         "_mutation_locks": "event-loop",
+        "_spawned": "self._spawn_lock",
     }
 
     def __init__(
@@ -419,6 +443,12 @@ class Supervisor:
         self._heartbeat_task: Optional[asyncio.Task] = None
         self._restart_tasks: set = set()
         self._conn_tasks: set = set()
+        #: Every worker process ever started, replacements included:
+        #: teardown reaps all of them, not just the slots' current ones
+        #: (a restart cancelled mid-spawn leaves its child unreferenced).
+        self._spawned: List[WorkerProcess] = []
+        self._spawn_lock = threading.Lock()
+        self._stopping = threading.Event()
         self._active_requests = 0
         self._rr = 0
         self.started_at = time.time()
@@ -464,13 +494,9 @@ class Supervisor:
     async def start(self) -> None:
         """Spawn every worker (concurrently), then open the front socket."""
         loop = asyncio.get_running_loop()
-
-        def _spawn(slot: _WorkerSlot) -> WorkerProcess:
-            return WorkerProcess(slot.id, slot.config).start(
-                timeout_s=self.worker_start_timeout_s
-            )
-
-        spawns = [loop.run_in_executor(None, _spawn, slot) for slot in self.slots]
+        spawns = [
+            loop.run_in_executor(None, self._spawn_worker, slot) for slot in self.slots
+        ]
         results = await asyncio.gather(*spawns, return_exceptions=True)
         failures = [r for r in results if isinstance(r, BaseException)]
         if failures:
@@ -487,8 +513,36 @@ class Supervisor:
         self.port = self._server.sockets[0].getsockname()[1]
         self._heartbeat_task = asyncio.ensure_future(self._heartbeat_loop())
 
+    def _spawn_worker(self, slot: _WorkerSlot) -> WorkerProcess:
+        """Start a worker for ``slot`` (blocking: runs on an executor).
+
+        The process is recorded before it is spawned, so :meth:`stop`
+        reaps it even when the restart that asked for it was cancelled
+        mid-handshake.
+        """
+        # Children that exited (reaped by poll) need no teardown.
+        finished = [
+            p for p in self.spawned_processes()
+            if p.settled.is_set() and p.poll() is not None
+        ]
+        process = WorkerProcess(slot.id, slot.config)
+        with self._spawn_lock:
+            self._spawned = [p for p in self._spawned if p not in finished]
+            self._spawned.append(process)
+        return process.start(
+            timeout_s=self.worker_start_timeout_s, abort=self._stopping
+        )
+
+    def spawned_processes(self) -> List[WorkerProcess]:
+        """Every worker process started so far, replacements included."""
+        with self._spawn_lock:
+            return list(self._spawned)
+
     async def stop(self, drain_s: float = 5.0) -> None:
         """Close the front, drain in-flight requests, stop every worker."""
+        # Spawns still in flight abort their handshake and kill their
+        # child; the reap below waits for them to settle.
+        self._stopping.set()
         if self._heartbeat_task is not None:
             self._heartbeat_task.cancel()
             await asyncio.gather(self._heartbeat_task, return_exceptions=True)
@@ -518,13 +572,14 @@ class Supervisor:
 
         def _reap() -> None:
             deadline = time.monotonic() + 10.0
-            for slot in self.slots:
-                if slot.process is None:
-                    continue
+            for process in self.spawned_processes():
                 left = max(0.1, deadline - time.monotonic())
-                if slot.process.wait(timeout=left) is None:
-                    slot.process.kill()
-                    slot.process.wait(timeout=5.0)
+                process.settled.wait(timeout=left)
+                process.terminate()
+                left = max(0.1, deadline - time.monotonic())
+                if process.wait(timeout=left) is None:
+                    process.kill()
+                    process.wait(timeout=5.0)
 
         await loop.run_in_executor(None, _reap)
         if self.trace_sink is not None:
@@ -947,7 +1002,11 @@ class Supervisor:
 
     async def _heartbeat_loop(self) -> None:
         try:
-            while True:
+            # The stop flag, not only cancellation, ends the loop: on
+            # Python < 3.12 ``asyncio.wait_for`` swallows a cancel that
+            # lands as the probe completes, and ``stop()`` would then
+            # wait on this task forever.
+            while not self._stopping.is_set():
                 await asyncio.sleep(self.heartbeat_s)
                 for slot in self.slots:
                     if slot.state != "healthy":
@@ -994,6 +1053,8 @@ class Supervisor:
             slot.state = "quarantined"
             self.quarantined += 1
             return
+        if self._stopping.is_set():
+            return  # no replacement during teardown; the reap takes the corpse
         backoff = min(
             self.backoff_cap_s,
             self.backoff_base_s * (2 ** (len(slot.crash_times) - 1)),
@@ -1007,14 +1068,8 @@ class Supervisor:
         if slot.state != "restarting":
             return
         loop = asyncio.get_running_loop()
-
-        def _spawn() -> WorkerProcess:
-            return WorkerProcess(slot.id, slot.config).start(
-                timeout_s=self.worker_start_timeout_s
-            )
-
         try:
-            process = await loop.run_in_executor(None, _spawn)
+            process = await loop.run_in_executor(None, self._spawn_worker, slot)
         except asyncio.CancelledError:
             raise
         except Exception:

@@ -7,7 +7,7 @@ hardest — the blocked-adjacency builder and the zoom-out red pass —
 with a deterministic stand-in for "the deadline expired mid-operation":
 a token that raises at the k-th cooperative checkpoint.  Sweeping k
 from the first to the last checkpoint proves every checkpoint site is
-a live abort point (including the blocked pair loop and the red-pass
+a live abort point (including the blocked side pass and the red-pass
 while loop, which only checkpoint *after* earlier stages have already
 had their turn).
 """
@@ -70,7 +70,7 @@ class TestBlockedBuilderCancellation:
 
     def test_control_build_forms_blocks(self):
         out = self._build()
-        # The dense pair loop must actually run for the sweep below to
+        # The block-side pass must actually run for the sweep below to
         # exercise its checkpoint.
         assert out.side_is_clique.size > 0
 
@@ -78,7 +78,7 @@ class TestBlockedBuilderCancellation:
         token = _CountingToken()
         with cancellation_scope(token):
             self._build()
-        # At least the CSR-assembly cell loop and the dense pair loop.
+        # At least the CSR-assembly batch loop and the block-side pass.
         assert token.calls >= 2
         self.total = token.calls
 
@@ -90,7 +90,7 @@ class TestBlockedBuilderCancellation:
         k = {
             "first": 1,
             "middle": max(1, counter.calls // 2),
-            "last": counter.calls,  # the dense pair loop's checkpoint
+            "last": counter.calls,  # the block-side pass's checkpoint
         }[position]
         token = _BudgetToken(k)
         with cancellation_scope(token):

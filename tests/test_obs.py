@@ -646,6 +646,16 @@ class TestSupervisedTracing:
                     assert status == 200, payload
         finally:
             cluster.stop()
+        # Teardown reaps every worker the cluster spawned, the crash
+        # replacement included (a restart cancelled mid-spawn too).
+        spawned = cluster.supervisor.spawned_processes()
+        assert len(spawned) >= 2
+        for process in spawned:
+            if process.proc is None:
+                continue  # its spawn failed before a child existed
+            assert process.poll() is not None, process.proc.pid
+            with pytest.raises(ProcessLookupError):
+                os.kill(process.proc.pid, 0)
 
         replayed = [
             r

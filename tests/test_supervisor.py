@@ -15,6 +15,7 @@ Three layers, cheapest first:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import signal
@@ -36,7 +37,7 @@ from repro.service.server import start_in_thread
 from repro.service.shm import SharedSegmentStore, ShmCacheBacking
 from repro.service.state import ServiceState
 from repro.service.registry import DatasetRegistry
-from repro.service.supervisor import build_worker_configs, start_supervised
+from repro.service.supervisor import Supervisor, build_worker_configs, start_supervised
 
 pytestmark = pytest.mark.skipif(
     not shm_mod.shm_available(), reason="POSIX shared memory not available"
@@ -418,6 +419,28 @@ class TestSupervisedCluster:
                 assert supervisor["crashes"] >= 2
         finally:
             cluster.stop()
+
+    def test_stop_survives_a_swallowed_heartbeat_cancel(self, monkeypatch):
+        """On Python < 3.12 ``asyncio.wait_for`` returns the probe's
+        result instead of raising when ``stop()``'s cancel lands as the
+        probe completes.  Teardown must still finish and reap every
+        worker."""
+
+        async def stubborn_probe(self, slot):
+            try:
+                await asyncio.sleep(0.5)
+            except asyncio.CancelledError:
+                pass  # swallowed, as wait_for does
+            return True
+
+        monkeypatch.setattr(Supervisor, "_probe", stubborn_probe)
+        cluster = start_supervised(["uniform"], 1, n=200, threads=2, heartbeat_s=0.001)
+        time.sleep(0.2)  # the heartbeat is now inside a probe
+        started = time.monotonic()
+        cluster.stop()
+        assert time.monotonic() - started < 30
+        for process in cluster.supervisor.spawned_processes():
+            assert process.poll() is not None
 
     def test_worker_cli_reports_bad_config(self):
         env = dict(os.environ)
