@@ -112,17 +112,12 @@ def zoom_in(
     # Zooming rule (Section 5.2): blacks stay black; greys stay grey only
     # while a black remains within the new radius.
     coloring = Coloring(index.n)
-    previous_set = previous.selected_set()
+    previous_ids = np.asarray(previous.selected, dtype=np.int64)
     for black in previous.selected:
         coloring.set_black(black)
-    token = current_token()
-    for object_id in range(index.n):
-        if token is not None and object_id % CHECKPOINT_EVERY == 0:
-            token.checkpoint()
-        if object_id in previous_set:
-            continue
-        if tracker.covered_at(object_id, new_radius):
-            coloring.set_grey(object_id)
+    still_covered = tracker.distances <= new_radius
+    still_covered[previous_ids] = False
+    coloring.set_grey_many(np.flatnonzero(still_covered))
     index.attach_coloring(coloring)
 
     added: List[int] = []
@@ -398,6 +393,12 @@ def _greedy_red_pass_csr(
     same step* are not decremented: the legacy pass may still touch
     them mid-loop, but their priorities are never read again (the heap
     skips non-reds), so the selections cannot differ.
+
+    Only the counter the variant reads is kept.  Red counts are seeded
+    from the reds' own rows (a few hundred objects, not the adjacency).
+    White counts exist for variant "c" alone: before the pass every
+    non-red object is white, so they start as ``degrees - red_counts``
+    exactly; variants "a" and "b" never gather the greyed whites' rows.
     """
     codes = coloring.codes_view()
     red_code, white_code = int(Color.RED), int(Color.WHITE)
@@ -406,7 +407,7 @@ def _greedy_red_pass_csr(
     # Legacy accounting: one up-front probe per red object.
     index.stats.range_queries += reds.size
     red_counts = csr.neighbor_counts(red_mask).astype(np.int64)
-    white_counts = csr.neighbor_counts(codes == white_code).astype(np.int64)
+    white_counts = csr.degrees - red_counts if variant == "c" else None
 
     if variant == "a":
         priority = red_counts
@@ -422,7 +423,7 @@ def _greedy_red_pass_csr(
     tree = MaxSegmentTree(scores)
 
     def refresh_and_push(stale: np.ndarray) -> None:
-        if variant == "c":
+        if white_counts is not None:
             live = white_counts[stale]
         else:
             live = sign * red_counts[stale]
@@ -452,17 +453,18 @@ def _greedy_red_pass_csr(
         # The pick and the greyed reds left the red pool.
         red_mask[pick] = False
         red_mask[greyed_reds] = False
-        touched_r = csr.decrement(
-            red_counts, np.append(greyed_reds, np.int64(pick)), red_mask
-        )
-        touched_w = csr.decrement(white_counts, greyed_whites, red_mask)
         pick_buf[0] = pick
-        # greyed_reds must be re-pushed too: they may not appear in the
-        # touched sets (the mask already excludes them) but their old
-        # scores would otherwise linger in the tree as phantom maxima.
-        refresh_and_push(
-            np.concatenate((touched_r, touched_w, greyed_reds, pick_buf))
-        )
+        left_red = np.concatenate((greyed_reds, pick_buf))
+        touched = csr.decrement(red_counts, left_red, red_mask)
+        if white_counts is not None:
+            touched = np.concatenate(
+                (touched, csr.decrement(white_counts, greyed_whites, red_mask))
+            )
+        # The objects that left the red pool must be re-pushed too: they
+        # may not appear in the touched sets (the mask already excludes
+        # them) but their old scores would otherwise linger in the tree
+        # as phantom maxima.
+        refresh_and_push(np.concatenate((touched, left_red)))
 
 
 def local_zoom(

@@ -246,18 +246,14 @@ class BlockedNeighborhood:
 
     @property
     def degrees(self) -> np.ndarray:
-        """``|N_r(p_i)|`` for every object (self excluded; cached)."""
+        """``|N_r(p_i)|`` for every object (self excluded; cached).
+
+        :meth:`neighbor_counts` of the all-True mask: the sparse degrees
+        plus one weighted bincount over the block sides, with the clique
+        self-correction — no per-side Python loop.
+        """
         if self._degrees is None:
-            deg = self.sparse.degrees.astype(np.int64)
-            token = current_token()
-            for s in range(self.num_sides):
-                if token is not None and s % 256 == 0:
-                    token.checkpoint()
-                members = self._side(self.side_partner[s])
-                deg[members] += self.side_ptr[s + 1] - self.side_ptr[s]
-                if self.side_is_clique[s]:
-                    deg[members] -= 1
-            self._degrees = deg
+            self._degrees = self.neighbor_counts(np.ones(self.n, dtype=bool))
         return self._degrees
 
     # ------------------------------------------------------------------
@@ -314,10 +310,12 @@ class BlockedNeighborhood:
     def neighbor_counts(self, mask: np.ndarray) -> np.ndarray:
         """Per-object count of neighbors selected by the boolean ``mask``.
 
-        The sparse remainder goes through the CSR bincount; each block
-        side then adds its partner's white population to its members in
-        one weighted bincount — the ``csr_count + Σ |white ∩
-        other_side|`` identity, evaluated without touching an edge.
+        The sparse remainder goes through the CSR count, which gathers
+        only the cheaper side of the mask; each block side then adds its
+        partner's masked population to its members in one weighted
+        bincount — the ``csr_count + Σ |mask ∩ other_side|`` identity,
+        evaluated without touching an edge.  The cost is the smaller
+        side's sparse edges plus O(n + block members).
         """
         mask = np.asarray(mask, dtype=bool)
         counts = self.sparse.neighbor_counts(mask).astype(np.int64)

@@ -103,7 +103,7 @@ class CSRNeighborhood:
     ``i`` itself.  All query primitives are pure NumPy.
     """
 
-    __slots__ = ("n", "indptr", "indices", "_row_ids")
+    __slots__ = ("n", "indptr", "indices")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray):
         indptr = np.asarray(indptr, dtype=np.int64)
@@ -119,7 +119,6 @@ class CSRNeighborhood:
         self.n = indptr.shape[0] - 1
         self.indptr = indptr
         self.indices = np.asarray(indices, dtype=np.int32)
-        self._row_ids: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -211,13 +210,9 @@ class CSRNeighborhood:
 
         The cache hook read by :class:`~repro.engines.cache.
         AdjacencyCache` when a byte budget bounds how many radii a
-        session keeps materialised; includes the lazily-built row-id
-        companion when present.
+        session keeps materialised.
         """
-        total = self.indptr.nbytes + self.indices.nbytes
-        if self._row_ids is not None:
-            total += self._row_ids.nbytes
-        return int(total)
+        return int(self.indptr.nbytes + self.indices.nbytes)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -227,18 +222,6 @@ class CSRNeighborhood:
     def neighbors(self, object_id: int) -> np.ndarray:
         """The neighbor ids of one object (ascending, int32 view)."""
         return self.indices[self.indptr[object_id] : self.indptr[object_id + 1]]
-
-    def row_ids(self) -> np.ndarray:
-        """Source id of every adjacency entry (cached ``np.repeat``).
-
-        int32 like :attr:`indices` — the cache lives as long as the
-        adjacency, so at production nnz the narrower dtype matters.
-        """
-        if self._row_ids is None:
-            self._row_ids = np.repeat(
-                np.arange(self.n, dtype=np.int32), self.degrees
-            )
-        return self._row_ids
 
     # ------------------------------------------------------------------
     # Bulk primitives
@@ -265,10 +248,23 @@ class CSRNeighborhood:
         ``counts[i] = |{ q in N_r(p_i) : mask[q] }|`` — with an all-True
         mask this is :attr:`degrees`.  Greedy-DisC seeds its priority
         structure with ``neighbor_counts(white_mask)``.
+
+        The adjacency is symmetric, so ``q`` in the mask adds one to the
+        count of each of its own neighbors: the counts are a bincount
+        over the masked rows.  Whichever side of the mask has the
+        smaller degree sum is gathered — the masked rows directly, or
+        the unmasked ones subtracted from :attr:`degrees` — so the cost
+        is proportional to the smaller side's edges plus O(n), never to
+        the whole adjacency.  Zoom-out seeds from a few hundred reds;
+        zoom-in and a fresh selection seed from the complement.
         """
         mask = np.asarray(mask, dtype=bool)
-        hits = mask[self.indices]
-        return np.bincount(self.row_ids()[hits], minlength=self.n)
+        degrees = self.degrees
+        inside = np.flatnonzero(mask)
+        if 2 * int(degrees[inside].sum()) <= self.nnz:
+            return np.bincount(self.gather(inside), minlength=self.n)
+        outside = np.flatnonzero(~mask)
+        return degrees - np.bincount(self.gather(outside), minlength=self.n)
 
     def decrement(
         self, counts: np.ndarray, sources: np.ndarray, eligible: np.ndarray

@@ -11,6 +11,7 @@ primitives the fast paths are built from.
 import numpy as np
 import pytest
 
+import repro.graph.blocked as blocked_module
 from repro.api import build_index, disc_select
 from repro.core import (
     Color,
@@ -23,6 +24,7 @@ from repro.core import (
     zoom_in,
     zoom_out,
 )
+from repro.core.result import DiscResult
 from repro.datasets import (
     cameras_dataset,
     cities_dataset,
@@ -30,6 +32,7 @@ from repro.datasets import (
     uniform_dataset,
 )
 from repro.distance import CHEBYSHEV, EUCLIDEAN, HAMMING, MANHATTAN, get_metric
+from repro.graph.blocked import BlockedNeighborhood
 from repro.graph.csr import CSRNeighborhood, build_csr_grid, build_csr_pairwise
 from repro.index import BruteForceIndex, GridIndex, KDTreeIndex
 
@@ -271,7 +274,7 @@ class TestCrossPathParity:
                 == basic_disc(fast, radius).selected
             ), type(fast).__name__
 
-    def test_zoom_identical(self, family):
+    def test_zoom_identical(self, family, monkeypatch):
         data = DATASET_FAMILIES[family]()
         radius = _FAMILY_RADII[family]
         finer = radius / 2 if family != "cameras" else 1
@@ -284,16 +287,94 @@ class TestCrossPathParity:
             # force a build); warm them so the CSR path is what's tested.
             fast.csr_neighborhood(finer)
             fast.csr_neighborhood(coarser)
-            for greedy in (True, False):
-                assert (
-                    zoom_in(legacy, coarse_l, finer, greedy=greedy).selected
-                    == zoom_in(fast, coarse_f, finer, greedy=greedy).selected
-                ), (type(fast).__name__, greedy)
-            for variant in (None, "a", "b", "c"):
-                assert (
-                    zoom_out(legacy, coarse_l, coarser, greedy_variant=variant).selected
-                    == zoom_out(fast, coarse_f, coarser, greedy_variant=variant).selected
-                ), (type(fast).__name__, variant)
+            for prev_l, prev_f in (
+                (coarse_l, coarse_f),
+                (_client_previous(coarse_l), _client_previous(coarse_f)),
+            ):
+                # The legacy path charges the distances its per-query
+                # scans evaluate, so distance counts are compared only
+                # between accelerated runs (below).
+                _assert_zooms_identical(
+                    _zooms(legacy, prev_l, finer, coarser),
+                    _zooms(fast, prev_f, finer, coarser),
+                    type(fast).__name__,
+                    distances=False,
+                )
+        if family == "cameras":
+            return  # Hamming: no grid adjacency, so no blocked form.
+
+        # A blocked adjacency must replay the flat one exactly, distance
+        # evaluations included.  A tight blob makes dense cell pairs.
+        blob = 0.5 + 0.01 * np.random.default_rng(5).random((1200, 2))
+        points = np.concatenate([data.points, blob])
+        flat = GridIndex(points, data.metric, cell_size=0.06)
+        blocked = GridIndex(points, data.metric, cell_size=0.06)
+        with monkeypatch.context() as patch:
+            patch.setattr(blocked_module, "MIN_DENSE_EDGES", np.inf)
+            for r in (finer, radius, coarser):
+                assert isinstance(flat.csr_neighborhood(r), CSRNeighborhood)
+            patch.setattr(blocked_module, "MIN_DENSE_EDGES", 0)
+            patch.setattr(blocked_module, "MIN_DENSE_FRACTION", 0.0)
+            patch.setattr(blocked_module, "MIN_BLOCK_PAIRS", 1)
+            for r in (finer, radius, coarser):
+                adjacency = blocked.csr_neighborhood(r)
+                assert isinstance(adjacency, BlockedNeighborhood)
+                assert adjacency.num_blocks > 0, r
+        coarse_flat = greedy_disc(flat, radius, track_closest_black=True)
+        coarse_blocked = greedy_disc(blocked, radius, track_closest_black=True)
+        assert coarse_flat.selected == coarse_blocked.selected
+        for prev_flat, prev_blocked in (
+            (coarse_flat, coarse_blocked),
+            (_client_previous(coarse_flat), _client_previous(coarse_blocked)),
+        ):
+            _assert_zooms_identical(
+                _zooms(flat, prev_flat, finer, coarser),
+                _zooms(blocked, prev_blocked, finer, coarser),
+                "blocked",
+                distances=True,
+            )
+
+
+def _client_previous(result):
+    """A previous solution as ``/zoom`` rebuilds it from a client: the
+    selection alone, no closest-black distances."""
+    return DiscResult(
+        selected=list(result.selected),
+        radius=result.radius,
+        algorithm="client-previous",
+    )
+
+
+def _zooms(index, previous, finer, coarser):
+    """Every zoom-in and zoom-out variant from ``previous``."""
+    results = {}
+    for greedy in (True, False):
+        results["in", greedy] = zoom_in(index, previous, finer, greedy=greedy)
+    for variant in (None, "a", "b", "c"):
+        results["out", variant] = zoom_out(
+            index, previous, coarser, greedy_variant=variant
+        )
+    return results
+
+
+def _assert_zooms_identical(want, got, label, *, distances):
+    """Same picks, final colors, closest-black distances and query
+    accounting."""
+    for case, ref in want.items():
+        res = got[case]
+        tag = (label, case)
+        assert res.selected == ref.selected, tag
+        assert (
+            res.coloring.codes_view().tobytes()
+            == ref.coloring.codes_view().tobytes()
+        ), tag
+        assert res.closest_black.tobytes() == ref.closest_black.tobytes(), tag
+        assert res.stats.range_queries == ref.stats.range_queries, tag
+        if distances:
+            assert (
+                res.stats.distance_computations
+                == ref.stats.distance_computations
+            ), tag
 
 
 @pytest.mark.parametrize("metric_name", ["euclidean", "manhattan", "chebyshev", "hamming"])

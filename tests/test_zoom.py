@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    Color,
     greedy_disc,
     local_zoom,
     recompute_closest_black,
@@ -76,6 +77,17 @@ class TestZoomIn:
         adapted = zoom_in(index, previous, 0.1, greedy=True)
         expected = recompute_closest_black(index, adapted.selected, 0.1).distances
         assert np.allclose(adapted.closest_black, expected)
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_final_coloring_is_black_selection_grey_rest(self, solved, greedy):
+        """The zoomed coloring blackens exactly the selection (previous
+        blacks included) and leaves every other object grey."""
+        index, previous = solved
+        adapted = zoom_in(index, previous, 0.1, greedy=greedy)
+        codes = adapted.coloring.codes_view()
+        blacks = np.flatnonzero(codes == int(Color.BLACK))
+        assert blacks.tolist() == sorted(adapted.selected)
+        assert np.all(np.delete(codes, blacks) == int(Color.GREY))
 
     def test_chained_zoom_in(self, medium_uniform, solved):
         index, previous = solved
