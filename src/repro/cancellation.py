@@ -3,7 +3,7 @@
 The serving layer (:mod:`repro.service`) promises that a timed-out
 request *frees its executor slot* instead of orphaning a selection that
 nobody will read.  Python threads cannot be killed, so the contract is
-cooperative: long-running loops — the segment-tree pop loops in
+cooperative: long-running loops — the greedy pick loops in
 :mod:`repro.core.greedy`, the scan loop of Basic-DisC, and the chunked
 adjacency builders in :mod:`repro.graph.csr` / :mod:`repro.graph.blocked`
 — call :meth:`CancellationToken.checkpoint` every
@@ -35,10 +35,11 @@ __all__ = [
     "current_token",
 ]
 
-#: Loop iterations between cooperative checkpoints.  One segment-tree
-#: pop is microseconds of work, so 256 pops keeps the cancellation
-#: latency far below any realistic deadline while making the
-#: ``monotonic()`` call invisible in profiles.
+#: Loop iterations between cooperative checkpoints.  One greedy pick is
+#: an argmax plus one decrement batch (tens of microseconds at 10k
+#: objects), so 256 picks keeps the cancellation latency far below any
+#: realistic deadline while making the ``monotonic()`` call invisible in
+#: profiles.
 CHECKPOINT_EVERY = 256
 
 

@@ -25,7 +25,13 @@ __all__ = [
     "LazyMaxHeap",
     "ClosestBlackTracker",
     "consume_stats",
+    "NEG_INF",
 ]
+
+#: Score of an object that is not a selection candidate in the dense
+#: greedy loops.  Far below any real count, and far enough above the
+#: int64 minimum that the decrements applied to it never wrap.
+NEG_INF = np.int64(-(2**62))
 
 
 def attach_fresh_coloring(index: NeighborIndex) -> Coloring:

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.cancellation import CHECKPOINT_EVERY, current_token
 from repro.core._common import (
+    NEG_INF,
     LazyMaxHeap,
     attach_fresh_coloring,
     consume_stats,
@@ -34,7 +35,6 @@ from repro.core._common import (
 )
 from repro.core.coloring import Color
 from repro.core.result import DiscResult
-from repro.graph.priority import MaxSegmentTree
 from repro.index.base import NeighborIndex
 from repro.validation import validate_radius
 
@@ -85,7 +85,7 @@ def weighted_disc(
         )
 
     # Both paths rank by the same quantised scores so lazy invalidation
-    # (heap) and the segment tree compare exactly; counts only
+    # (heap) and the dense argmax compare exactly; counts only
     # decrease, so stale entries are always >= live.
     def quantised(object_id: int) -> int:
         return int(round(score(object_id) * 10**9))
@@ -159,9 +159,11 @@ def _weighted_csr(
 
     Selection order is identical to the heap path: scores are the same
     quantised blend (NumPy's and Python's ``round`` both round half to
-    even over the same float64 arithmetic), the segment-tree argmax
-    breaks ties on the lowest id exactly like the ``(-score, id)``
-    heap, and count maintenance follows the same grey update rule.
+    even over the same float64 arithmetic), ``np.argmax`` breaks ties on
+    the lowest id exactly like the ``(-score, id)`` heap, and count
+    maintenance follows the same grey update rule.  The blend is not
+    linear in the count, so the scores are recomputed for the whites
+    whose count changed, found by comparing against the previous counts.
     """
     white_code = int(Color.WHITE)
     codes = coloring.codes_view()
@@ -172,10 +174,9 @@ def _weighted_csr(
         )
         return np.round(blended * 10**9).astype(np.int64)
 
-    all_ids = np.arange(csr.n)
-    scores = quantise(all_ids)
-    tree = MaxSegmentTree(scores)
-    candidate_mask = codes == white_code
+    scores = quantise(np.arange(csr.n))
+    scores[codes != white_code] = NEG_INF
+    previous = np.empty_like(counts)
 
     token = current_token()
     pops = 0
@@ -184,7 +185,7 @@ def _weighted_csr(
             if pops % CHECKPOINT_EVERY == 0:
                 token.checkpoint()
             pops += 1
-        pick = tree.argmax()
+        pick = int(scores.argmax())
         if scores[pick] < 0:
             raise RuntimeError("weighted greedy lost track of white objects")
         coloring.set_black(pick)
@@ -195,14 +196,13 @@ def _weighted_csr(
         # Legacy accounting: one query for the pick plus one grey-update
         # query per newly-grey object.
         index.stats.range_queries += 1 + newly_grey.size
-        candidate_mask[pick] = False
-        candidate_mask[newly_grey] = False
-        touched = csr.decrement(counts, newly_grey, candidate_mask)
-        scores[touched] = quantise(touched)
-        retired = np.append(newly_grey, np.int64(pick))
-        scores[retired] = -1
-        stale = np.concatenate((touched, retired))
-        tree.update_many(stale, scores[stale])
+        scores[pick] = NEG_INF
+        scores[newly_grey] = NEG_INF
+        np.copyto(previous, counts)
+        csr.decrement(counts, newly_grey)
+        changed = np.flatnonzero(counts != previous)
+        changed = changed[codes[changed] == white_code]
+        scores[changed] = quantise(changed)
 
 
 def total_weight(weights: np.ndarray, selected: List[int]) -> float:

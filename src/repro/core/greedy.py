@@ -21,6 +21,13 @@ internal node, accepting that distant neighbors may be missed.
 
 All variants share the :func:`greedy_cover` engine, which the zooming
 algorithms of Section 3 reuse for their greedy passes.
+
+When the index holds a CSR or blocked adjacency for the radius, the
+default grey update runs vectorised (:func:`_greedy_cover_csr`): one
+dense score array, one ``np.argmax`` per pick and in-place count
+decrements.  The cost is O(n) per pick plus the edges of the objects
+leaving the candidate pool, and the selection order is the heap path's,
+byte for byte.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import numpy as np
 
 from repro.cancellation import CHECKPOINT_EVERY, current_token
 from repro.core._common import (
+    NEG_INF,
     ClosestBlackTracker,
     LazyMaxHeap,
     attach_fresh_coloring,
@@ -40,8 +48,6 @@ from repro.core._common import (
 )
 from repro.core.coloring import Color, Coloring
 from repro.core.result import DiscResult
-from repro.graph.blocked import BlockedNeighborhood
-from repro.graph.priority import MaxSegmentTree
 from repro.index.base import NeighborIndex
 from repro.validation import validate_radius
 
@@ -50,34 +56,7 @@ __all__ = [
     "greedy_c",
     "fast_c",
     "greedy_cover",
-    "CSR_SELECTION_STRATEGY",
 ]
-
-#: Execution strategy of the CSR greedy-cover loop: "lazy", "eager" or
-#: "auto".  All are byte-identical in output (the parity suite runs
-#: each); on a :class:`~repro.graph.blocked.BlockedNeighborhood` every
-#: name resolves to the block-aggregated eager sweep (see
-#: :func:`_greedy_cover_csr`).  "auto" follows the bench harness
-#: (``selection_strategy_bench``): the eager decrement sweep costs
-#: O(nnz) with a small vectorised constant and wins at moderate
-#: degrees, while lazy verified-pops touch only the rows they inspect
-#: and win on the dense clustered graphs where O(nnz) explodes.
-CSR_SELECTION_STRATEGY = "auto"
-
-#: "auto" thresholds, fitted to the head-to-head strategy timings in
-#: results/BENCH_perf.json.  Below MIN_NNZ both strategies run in tens
-#: of milliseconds and eager's single sweep has the smaller constant.
-#: Above it the degree dispersion decides: on near-uniform degree
-#: distributions (coefficient of variation under MIN_DEGREE_CV —
-#: uniform data sits near 0.13, the blob-clustered family near 0.47,
-#: cities near 1.5) the tree top is crowded with near-ties, lazy pops
-#: devolve into long lowering cascades, and the eager O(nnz) sweep
-#: stays ahead at every recorded scale; on skewed multi-density graphs
-#: (clustered, cities) lazy wins up to 3x because it never touches
-#: most of the edge mass.
-LAZY_STRATEGY_MIN_NNZ = 2_000_000
-LAZY_STRATEGY_MIN_DEGREE_CV = 0.3
-
 
 def greedy_cover(
     index: NeighborIndex,
@@ -225,68 +204,41 @@ def _greedy_cover_csr(
     initial_counts: Optional[np.ndarray],
     tracker: Optional[ClosestBlackTracker],
     selected: Optional[List[int]],
-    strategy: Optional[str] = None,
 ) -> List[int]:
-    """Vectorised :func:`greedy_cover` over a CSR adjacency.
+    """Vectorised :func:`greedy_cover` over a CSR or blocked adjacency.
 
-    Selection order is *identical* to the heap-driven path: the next
-    pick is the eligible candidate with the maximum white-neighborhood
-    count, ties broken by the smaller object id — both strategies drive
-    a :class:`~repro.graph.priority.MaxSegmentTree` whose argmax breaks
-    ties exactly like ``np.argmax`` (lowest id wins).
+    One dense ``int64`` score array drives the loop: a candidate holds
+    its white-neighbor count, every other object holds :data:`NEG_INF`.
+    Each pick is one ``np.argmax`` (lowest id on ties, exactly the
+    heap's ``(-count, id)`` order).  The grey update rule is applied to
+    the scores in place: the objects leaving the pool get the sentinel,
+    then every object that stopped being white decrements each of its
+    neighbors once.  Decrements that land on non-candidates leave them
+    far below any real count, so nothing filters them out.
 
-    ``strategy`` (default :data:`CSR_SELECTION_STRATEGY`):
+    Cost: one O(n) argmax per pick, plus the edges of the objects
+    leaving the white pool (on a blocked adjacency, the sparse edges
+    plus one delta per affected block side).
 
-    ``"eager"``
-        the grey update rule verbatim — every object that stops being
-        white decrements each adjacent candidate once, as one CSR
-        gather per step.  Work is O(nnz) over the whole run.
-    ``"lazy"``
-        verified pops (Minoux's lazy greedy): tree values are stale
-        upper bounds — counts only ever decrease — so the argmax is
-        popped, its white-neighbor count recounted from its own CSR
-        row, and the pick accepted only when the stored value is still
-        current; otherwise the lowered value goes back into the tree
-        and the argmax repeats.  A pick is accepted exactly when its
-        verified count is the true maximum and every lower-id tie has
-        already been verified down, so the sequence matches the eager
-        one element for element while touching only the rows it
-        inspects.
+    r-C mode keeps greys as candidates, but a grey with no white
+    neighbor left is not eligible (the heap path demands a positive
+    gain).  Counts never go negative, so that only matters when the
+    maximum is 0; then every white is isolated and the pick is the
+    lowest-id white.
     """
     white_code = int(Color.WHITE)
     grey_code = int(Color.GREY)
     codes = coloring.codes_view()
     n = csr.n
-    if strategy is None:
-        strategy = CSR_SELECTION_STRATEGY
-    if strategy not in ("auto", "lazy", "eager"):
-        raise ValueError(
-            f'strategy must be "auto", "lazy" or "eager", got {strategy!r}'
-        )
-    if isinstance(csr, BlockedNeighborhood):
-        # The blocked engine has one strategy: the eager sweep, whose
-        # decrements collapse into per-block deltas (each dense side is
-        # touched once per step, not once per source).  The lazy
-        # verified-pop recount would re-materialise dense rows per pop
-        # — exactly the edge expansion the blocks avoid — so both
-        # strategy names resolve to the block-aggregated sweep.
-        strategy = "eager"
-    elif strategy == "auto":
-        strategy = "eager"
-        if csr.nnz >= LAZY_STRATEGY_MIN_NNZ:
-            degrees = csr.degrees
-            mean = csr.nnz / n
-            if float(degrees.std()) >= LAZY_STRATEGY_MIN_DEGREE_CV * mean:
-                strategy = "lazy"
 
     if initial_counts is not None:
-        counts = np.asarray(initial_counts, dtype=np.int64).copy()
-        if counts.shape != (n,):
+        scores = np.asarray(initial_counts, dtype=np.int64).copy()
+        if scores.shape != (n,):
             raise ValueError(
-                f"initial_counts must have shape ({n},), got {counts.shape}"
+                f"initial_counts must have shape ({n},), got {scores.shape}"
             )
     else:
-        counts = csr.neighbor_counts(coloring.white_mask()).astype(np.int64)
+        scores = csr.neighbor_counts(coloring.white_mask()).astype(np.int64)
         # The legacy path issues one seeding range query per candidate.
         n_candidates = int(np.count_nonzero(codes == white_code))
         if include_grey_candidates:
@@ -296,23 +248,30 @@ def _greedy_cover_csr(
     if selected is None:
         selected = []
 
-    # scores[i] = counts[i] while i is an eligible candidate, else -1
-    # (under the lazy strategy scores are upper bounds between pops).
+    candidate = codes == white_code
     if include_grey_candidates:
-        eligible = (codes == white_code) | (
-            (codes == grey_code) & (counts > 0)
-        )
-        # r-C mode: greys stay candidates, only picks leave the pool.
-        candidate_mask = (codes == white_code) | (codes == grey_code)
-    else:
-        eligible = codes == white_code
-        candidate_mask = eligible.copy()
-    scores = np.where(eligible, counts, -1)
-    tree = MaxSegmentTree(scores)
+        candidate |= codes == grey_code
+    scores[~candidate] = NEG_INF
 
-    def process_pick(pick: int) -> np.ndarray:
-        """Select ``pick``: recolor, account, and track — both
-        strategies share this step.  Returns the newly-grey ids."""
+    token = current_token()
+    pops = 0
+    while coloring.any_white():
+        if token is not None:
+            if pops % CHECKPOINT_EVERY == 0:
+                token.checkpoint()
+            pops += 1
+        pick = int(scores.argmax())
+        best = scores[pick]
+        if best < 0:
+            raise RuntimeError(
+                "greedy cover ran out of candidates with white objects left; "
+                "the count array is inconsistent"
+            )
+        was_white = codes[pick] == white_code
+        if best == 0 and not was_white:
+            # A grey with zero gain is ineligible (r-C mode only).
+            pick = int((codes == white_code).argmax())
+            was_white = True
         coloring.set_black(pick)
         selected.append(pick)
         neighbors = csr.neighbors(pick)
@@ -323,115 +282,14 @@ def _greedy_cover_csr(
         index.stats.range_queries += 1 + newly_grey.size
         if tracker is not None:
             tracker.record_black(pick, neighbors)
-        return newly_grey
 
-    if strategy == "lazy":
-        indptr, indices = csr.indptr, csr.indices
-        # The tree leaves are the single source of truth for the lazy
-        # upper bounds; hot-loop locals matter because the verify loop
-        # runs tens of thousands of scalar iterations.
-        argmax = tree.argmax
-        update_one = tree.update_one
-        stored_at = tree.tree.item
-        leaf_base = tree.size
-        code_at = codes.item
-        start_at = indptr.item
-        count_nonzero = np.count_nonzero
-        any_white = coloring.any_white
-        token = current_token()
-        pops = 0
-        while any_white():
-            while True:
-                # Cancellation checkpoint counts *verified pops* — the
-                # inner lowering cascade is where the lazy strategy
-                # spends its time, so an outer-loop check alone could
-                # stall arbitrarily long inside one pick.
-                if token is not None:
-                    if pops % CHECKPOINT_EVERY == 0:
-                        token.checkpoint()
-                    pops += 1
-                pick = argmax()
-                stored = stored_at(leaf_base + pick)
-                if stored < 0:
-                    raise RuntimeError(
-                        "greedy cover ran out of candidates with white objects "
-                        "left; the priority structure is inconsistent"
-                    )
-                code = code_at(pick)
-                if code != white_code and not (
-                    include_grey_candidates and code == grey_code
-                ):
-                    # No longer a candidate; retire the stale entry.
-                    update_one(pick, -1)
-                    continue
-                row = indices[start_at(pick) : start_at(pick + 1)]
-                # WHITE is code 0, so the white count is the row length
-                # minus the non-zero codes — one pass fewer than an
-                # explicit comparison on these (often huge) rows.
-                current = row.size - count_nonzero(codes[row])
-                if code == grey_code and current == 0:
-                    # Grey candidates need positive gain; counts only
-                    # shrink, so this entry can retire for good.
-                    update_one(pick, -1)
-                    continue
-                if current != stored:
-                    update_one(pick, current)
-                    continue  # somebody else may hold the max now
-                break
-            newly_grey = process_pick(pick)
-            update_one(pick, -1)
-            if not include_grey_candidates and newly_grey.size:
-                # r-DisC mode: greys stop being candidates the moment
-                # they are greyed — retire them in one batch instead of
-                # one stale-entry pop each.
-                tree.update_many(
-                    newly_grey, np.full(newly_grey.size, -1, dtype=np.int64)
-                )
-    else:
-        pick_buf = np.empty(1, dtype=np.int64)
-        token = current_token()
-        pops = 0
-        while coloring.any_white():
-            # One eager step is a whole CSR decrement sweep, so every
-            # segment-tree pop gets a checkpoint (still far cheaper
-            # than the vector work it gates).
-            if token is not None:
-                if pops % CHECKPOINT_EVERY == 0:
-                    token.checkpoint()
-                pops += 1
-            pick = tree.argmax()
-            if scores[pick] < 0:
-                raise RuntimeError(
-                    "greedy cover ran out of candidates with white objects "
-                    "left; the priority structure is inconsistent"
-                )
-            was_white = codes[pick] == white_code
-            newly_grey = process_pick(pick)
-
-            # Grey update rule: everything that stopped being white this
-            # step decrements each adjacent candidate once.  The
-            # candidate mask is maintained incrementally (only the
-            # recolored objects change) — no per-pick O(n) rebuild.
-            sources = (
-                np.append(newly_grey, np.int64(pick)) if was_white else newly_grey
-            )
-            candidate_mask[pick] = False
-            if not include_grey_candidates:
-                candidate_mask[newly_grey] = False
-            touched = csr.decrement(counts, sources, candidate_mask)
-            stale = np.concatenate((touched, newly_grey))
-            local = codes[stale]
-            if include_grey_candidates:
-                ok = (local == white_code) | (
-                    (local == grey_code) & (counts[stale] > 0)
-                )
-            else:
-                ok = local == white_code
-            scores[stale] = np.where(ok, counts[stale], -1)
-            scores[pick] = -1
-            pick_buf[0] = pick
-            stale = np.concatenate((stale, pick_buf))
-            tree.update_many(stale, scores[stale])
+        scores[pick] = NEG_INF
+        if not include_grey_candidates:
+            scores[newly_grey] = NEG_INF
+        csr.decrement(
+            scores,
+            np.append(newly_grey, np.int64(pick)) if was_white else newly_grey,
+        )
     return selected
 
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.cancellation import CHECKPOINT_EVERY, current_token
 from repro.core._common import (
+    NEG_INF,
     ClosestBlackTracker,
     LazyMaxHeap,
     consume_stats,
@@ -44,7 +45,6 @@ from repro.core._common import (
 from repro.core.coloring import Color, Coloring
 from repro.core.greedy import greedy_cover
 from repro.core.result import DiscResult
-from repro.graph.priority import NEG_INF, MaxSegmentTree
 from repro.index.base import NeighborIndex
 from repro.validation import validate_radius
 
@@ -384,61 +384,44 @@ def _greedy_red_pass_csr(
     """Vectorised :func:`_greedy_red_pass` over a cached CSR adjacency.
 
     Selection order is identical to the heap-driven pass: the next pick
-    is the red object with the maximum variant priority, ties broken by
-    the smaller id (the :class:`~repro.graph.priority.MaxSegmentTree`
-    argmax mirrors the heap's ordering).  Count maintenance follows the
-    same rule — every object that stops being red/white decrements the
-    red/white counters of its still-red neighbors — with the one
-    irrelevant divergence that counters of objects greyed *within the
-    same step* are not decremented: the legacy pass may still touch
-    them mid-loop, but their priorities are never read again (the heap
-    skips non-reds), so the selections cannot differ.
+    is the red object with the best variant priority, ties broken by
+    the smaller id.  One dense score array holds the counter the
+    variant reads — red counts for "a" (argmax) and "b" (argmin), white
+    counts for "c" (argmax) — with a sentinel on every non-red that can
+    never win.  Count maintenance follows the same rule as the heap
+    pass: every object that stops being red (resp. white) decrements
+    the counter of each of its neighbors, in place.  Counters of
+    non-reds are never read again, so the decrements that land on the
+    sentinels are harmless.
 
-    Only the counter the variant reads is kept.  Red counts are seeded
-    from the reds' own rows (a few hundred objects, not the adjacency).
-    White counts exist for variant "c" alone: before the pass every
-    non-red object is white, so they start as ``degrees - red_counts``
-    exactly; variants "a" and "b" never gather the greyed whites' rows.
+    Red counts are seeded from the reds' own rows (a few hundred
+    objects, not the adjacency).  For variant "c", every non-red object
+    is white before the pass, so white counts start as
+    ``degrees - red_counts`` exactly.
     """
     codes = coloring.codes_view()
     red_code, white_code = int(Color.RED), int(Color.WHITE)
     red_mask = codes == red_code
-    reds = np.flatnonzero(red_mask)
     # Legacy accounting: one up-front probe per red object.
-    index.stats.range_queries += reds.size
-    red_counts = csr.neighbor_counts(red_mask).astype(np.int64)
-    white_counts = csr.degrees - red_counts if variant == "c" else None
+    index.stats.range_queries += int(np.count_nonzero(red_mask))
+    scores = csr.neighbor_counts(red_mask).astype(np.int64)
+    if variant == "c":
+        scores = csr.degrees - scores
+    # Variant "b" wants the fewest red neighbors: argmin over the same
+    # counts, so its sentinel sits at the top instead.
+    fewest = variant == "b"
+    sentinel = -NEG_INF if fewest else NEG_INF
+    scores[~red_mask] = sentinel
+    best = scores.argmin if fewest else scores.argmax
 
-    if variant == "a":
-        priority = red_counts
-        sign = 1
-    elif variant == "b":
-        priority = -red_counts
-        sign = -1
-    else:  # "c"
-        priority = white_counts
-        sign = 1
-
-    scores = np.where(red_mask, priority, NEG_INF)
-    tree = MaxSegmentTree(scores)
-
-    def refresh_and_push(stale: np.ndarray) -> None:
-        if white_counts is not None:
-            live = white_counts[stale]
-        else:
-            live = sign * red_counts[stale]
-        scores[stale] = np.where(red_mask[stale], live, NEG_INF)
-        tree.update_many(stale, scores[stale])
-
-    pick_buf = np.empty(1, dtype=np.int64)
     token = current_token()
     iterations = 0
     while coloring.any_red():
         iterations += 1
         if token is not None and iterations % CHECKPOINT_EVERY == 0:
             token.checkpoint()
-        pick = tree.argmax()
-        if scores[pick] == NEG_INF:
+        pick = int(best())
+        if codes[pick] != red_code:
             raise RuntimeError("red pass lost track of remaining red objects")
         coloring.set_black(pick)
         selected.append(pick)
@@ -451,20 +434,9 @@ def _greedy_red_pass_csr(
         tracker.record_black(pick, neighbors)
 
         # The pick and the greyed reds left the red pool.
-        red_mask[pick] = False
-        red_mask[greyed_reds] = False
-        pick_buf[0] = pick
-        left_red = np.concatenate((greyed_reds, pick_buf))
-        touched = csr.decrement(red_counts, left_red, red_mask)
-        if white_counts is not None:
-            touched = np.concatenate(
-                (touched, csr.decrement(white_counts, greyed_whites, red_mask))
-            )
-        # The objects that left the red pool must be re-pushed too: they
-        # may not appear in the touched sets (the mask already excludes
-        # them) but their old scores would otherwise linger in the tree
-        # as phantom maxima.
-        refresh_and_push(np.concatenate((touched, left_red)))
+        left_red = np.append(greyed_reds, np.int64(pick))
+        scores[left_red] = sentinel
+        csr.decrement(scores, greyed_whites if variant == "c" else left_red)
 
 
 def local_zoom(

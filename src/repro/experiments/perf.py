@@ -30,10 +30,7 @@ object — stays at the 50k reference level instead of growing linearly
 with n.  Each run records per-phase wall-clock: ``index_s`` (index
 constructor), ``adjacency_s`` (CSR materialisation / legacy
 precompute), ``select_s`` (one full Greedy-DisC), plus ``build_s`` =
-index + adjacency.  On the 50k+ grid runs both selection strategies of
-:mod:`repro.core.greedy` are additionally timed head-to-head
-(``select_lazy_s`` / ``select_eager_s``) — the record behind the
-``CSR_SELECTION_STRATEGY`` default.
+index + adjacency.
 
 Results are emitted as ``results/BENCH_perf.json`` with one record per
 (workload, n, engine) and a ``speedups`` section keyed
@@ -54,7 +51,6 @@ import numpy as np
 
 from repro import __version__
 from repro.core import greedy_disc
-from repro.core import greedy as greedy_module
 from repro.datasets import cities_dataset, clustered_dataset, uniform_dataset
 from repro.experiments.tables import format_table, results_dir
 from repro.graph.blocked import BlockedNeighborhood
@@ -102,9 +98,6 @@ BENCH_RADII = {"uniform": 0.05, "clustered": 0.05, "cities": 0.01}
 #: Above this n the radius is scaled to keep density at the 50k level.
 DENSITY_REFERENCE_N = 50000
 
-#: n from which the head-to-head selection-strategy timings are taken.
-STRATEGY_BENCH_MIN_N = 50000
-
 _WORKLOADS: Dict[str, Callable] = {
     "uniform": lambda n: uniform_dataset(n=n, dim=2, seed=42),
     "clustered": lambda n: clustered_dataset(n=n, dim=2, seed=42),
@@ -139,21 +132,6 @@ def _engines(n: int) -> Dict[str, Callable]:
     if n <= GRID_ONLY_MIN_N:
         engines["kdtree-csr"] = lambda pts, metric: KDTreeIndex(pts, metric)
     return engines
-
-
-def _time_selection_strategies(index, radius: float) -> Dict[str, float]:
-    """Head-to-head lazy vs eager selection on a warm index."""
-    timings: Dict[str, float] = {}
-    previous = greedy_module.CSR_SELECTION_STRATEGY
-    try:
-        for strategy in ("lazy", "eager"):
-            greedy_module.CSR_SELECTION_STRATEGY = strategy
-            t0 = time.perf_counter()
-            greedy_disc(index, radius)
-            timings[f"select_{strategy}_s"] = round(time.perf_counter() - t0, 6)
-    finally:
-        greedy_module.CSR_SELECTION_STRATEGY = previous
-    return timings
 
 
 def run_wallclock_bench(
@@ -212,7 +190,6 @@ def run_wallclock_bench(
                     "total_s": round(t3 - t0, 6),
                     "solution_size": result.size,
                 }
-                blocked = False
                 adjacency = index.csr_neighborhood(radius, build=False)
                 if adjacency is not None:
                     # peak_nnz = logical edges (what a flat CSR stores);
@@ -228,15 +205,6 @@ def run_wallclock_bench(
                         record["dense_edge_fraction"] = round(
                             adjacency.dense_fraction, 6
                         )
-                if (
-                    engine_name == "grid-csr"
-                    and n >= STRATEGY_BENCH_MIN_N
-                    and not blocked
-                    # On a blocked adjacency both strategy names resolve
-                    # to the block-aggregated sweep; a head-to-head
-                    # would time the same loop twice.
-                ):
-                    record.update(_time_selection_strategies(index, radius))
                 runs.append(record)
             reference_name = (
                 "brute-legacy" if "brute-legacy" in selections
@@ -304,14 +272,6 @@ def render_bench_table(payload: dict) -> str:
     ]
     if blocked_rows:
         table += "\nblocked adjacencies:\n" + "\n".join(blocked_rows)
-    strategy_rows = [
-        f"  {run['workload']}-{run['n']}: lazy {run['select_lazy_s']:.3f}s / "
-        f"eager {run['select_eager_s']:.3f}s"
-        for run in payload["runs"]
-        if "select_lazy_s" in run
-    ]
-    if strategy_rows:
-        table += "\nselection strategies (grid-csr):\n" + "\n".join(strategy_rows)
     if payload["speedups"]:
         lines = [
             f"  {key}: {value:.1f}x (brute-legacy / brute-csr)"

@@ -168,7 +168,7 @@ The serving layer degrades predictably instead of hanging or lying.
 * **Deadline budgets** — a request may carry `timeout_ms`; the server
   resolves it against `--default-timeout-ms` / `--max-timeout-ms` into
   a `CancellationToken` (`repro.cancellation`) installed ambiently in
-  the worker thread.  The greedy segment-tree pop loops, the
+  the worker thread.  The greedy pick loops, the
   Basic-DisC scan, and the chunked CSR/blocked adjacency builders
   checkpoint every 256 iterations, so a timed-out request aborts
   within one checkpoint interval and *frees its executor slot*

@@ -8,7 +8,6 @@ from repro.graph.blocked import (
 )
 from repro.graph.csr import CSRNeighborhood, build_csr_grid, build_csr_pairwise
 from repro.graph.incremental import IncrementalNeighborhood
-from repro.graph.priority import MaxSegmentTree
 from repro.graph.build import (
     build_neighborhood_graph,
     is_dominating_set,
@@ -25,7 +24,6 @@ __all__ = [
     "BlockedNeighborhood",
     "CSRNeighborhood",
     "IncrementalNeighborhood",
-    "MaxSegmentTree",
     "build_blocked_grid",
     "build_csr_grid",
     "build_csr_pairwise",

@@ -23,9 +23,8 @@ the flat CSR (``neighbors`` / ``neighbor_counts`` / ``decrement`` /
 Greedy-C, Basic-DisC, the zoom passes, the weighted extension — runs on
 it unchanged and **byte-identical in selection order**: the primitives
 maintain exactly the same per-object counts the flat adjacency would,
-and the picks go through the same :class:`~repro.graph.priority.
-MaxSegmentTree` argmax tie-breaking.  The count algebra is the
-aggregate-over-groups identity
+so the same argmax over them makes the same picks.  The count algebra
+is the aggregate-over-groups identity
 
 ``white_neighbors(i) = csr_count(i) + Σ_blocks |white ∩ other_side(i)|``
 
@@ -45,7 +44,7 @@ per-step delta lookups.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -335,42 +334,36 @@ class BlockedNeighborhood:
             counts[self._clique_members] -= mask[self._clique_members]
         return counts
 
-    def decrement(
-        self, counts: np.ndarray, sources: np.ndarray, eligible: np.ndarray
-    ) -> np.ndarray:
-        """Batch count maintenance for the grey update rule.
+    def decrement(self, counts: np.ndarray, sources: np.ndarray) -> None:
+        """Grey update rule, in place (same contract as the CSR version).
 
-        Semantically identical to the CSR version — every source
-        decrements each of its neighbors once — but the dense level is
-        applied as per-block deltas: ``d`` sources leaving a side
-        subtract ``d`` from every member of the partner side in one
-        vector op, so a side is touched once per *step*, not once per
-        source.  Clique sides add the subtract-self correction (a
-        source is not its own neighbor).  Returns the touched ids
-        filtered to ``eligible``; like the CSR contract, counts of
-        ineligible objects are garbage the callers never read.
+        The sparse remainder goes through the CSR decrement.  The dense
+        level is applied as per-side deltas: ``d`` sources in a side
+        subtract ``d`` from every member of its partner side, so a side
+        is touched once per call, not once per source.  One position
+        gather covers every affected partner side, one
+        ``np.subtract.at`` applies the repeated deltas (a node may sit
+        in several sides), and clique sources add the subtract-self
+        correction back (a source is not its own neighbor).
         """
         sources = np.asarray(sources, dtype=np.int64)
-        touched_sparse = self.sparse.decrement(counts, sources, eligible)
+        self.sparse.decrement(counts, sources)
         if self.num_sides == 0 or sources.size == 0:
-            return touched_sparse
+            return
         nodes, side_ids = self._member_sides(sources)
         if side_ids.size == 0:
-            return touched_sparse
+            return
         delta = np.bincount(side_ids, minlength=self.num_sides)
-        touched_parts: List[np.ndarray] = []
-        for s in np.flatnonzero(delta):
-            members = self._side(self.side_partner[s])
-            counts[members] -= delta[s]
-            touched_parts.append(members)
+        hit = np.flatnonzero(delta)
+        positions, lengths = _flat_row_positions(
+            self.side_ptr, self.side_partner[hit]
+        )
+        np.subtract.at(
+            counts, self.side_members[positions], np.repeat(delta[hit], lengths)
+        )
         clique_hits = self.side_is_clique[side_ids]
         if clique_hits.any():
             np.add.at(counts, nodes[clique_hits], 1)
-        touched = np.unique(np.concatenate(touched_parts).astype(np.int64))
-        touched = touched[eligible[touched]]
-        if touched_sparse.size == 0:
-            return touched
-        return np.unique(np.concatenate((touched_sparse, touched)))
 
     def cover_mask(
         self, ids: np.ndarray, *, include_sources: bool = True

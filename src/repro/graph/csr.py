@@ -266,40 +266,25 @@ class CSRNeighborhood:
         outside = np.flatnonzero(~mask)
         return degrees - np.bincount(self.gather(outside), minlength=self.n)
 
-    def decrement(
-        self, counts: np.ndarray, sources: np.ndarray, eligible: np.ndarray
-    ) -> np.ndarray:
-        """Batch count maintenance for the grey update rule.
+    def decrement(self, counts: np.ndarray, sources: np.ndarray) -> None:
+        """Grey update rule, in place: every object in ``sources`` (objects
+        that just stopped being white) decrements ``counts`` of each of
+        its neighbors once, so an object adjacent to several sources
+        loses several counts.
 
-        For every object in ``sources`` (objects that just stopped
-        being white), decrement ``counts`` of each of its neighbors —
-        once per adjacency, so an object adjacent to several sources
-        loses several counts, exactly like the per-neighbor loop it
-        replaces.  Returns the unique touched ids filtered to
-        ``eligible`` (for priority refresh).
-
-        Ineligible neighbors are decremented too — filtering them out
-        of the full gather would cost more than the whole decrement —
-        which is sound because every caller treats the counts of
-        objects that left the candidate pool as garbage: a grey/black
-        object can never become a candidate again, so its count is
-        never read.
+        Every neighbor is decremented, candidate or not: callers never
+        read the count of an object that left the candidate pool (the
+        selection loops park it at a sentinel no decrement brings back
+        into range), so no filter pass is needed.  One gather, then
+        ``np.subtract.at`` (O(k)) up to ``2n`` entries and one
+        ``bincount`` (O(n + k)) beyond, where it is the faster of the
+        two.
         """
         touched = self.gather(sources)
-        if touched.size == 0:
-            return np.empty(0, dtype=np.int64)
-        # Two equivalent ways to apply the same per-id decrements; pick
-        # by batch size so the cost is O(k log k) for small updates and
-        # O(n + k) (no sort) for the huge clustered-cell batches.
-        if touched.size < self.n // 4:
-            uniq, hits = np.unique(touched, return_counts=True)
-            uniq = uniq.astype(np.int64)
-            counts[uniq] -= hits
+        if touched.size < 2 * self.n:
+            np.subtract.at(counts, touched, 1)
         else:
-            delta = np.bincount(touched, minlength=self.n)
-            counts -= delta
-            uniq = np.flatnonzero(delta)
-        return uniq[eligible[uniq]]
+            counts -= np.bincount(touched, minlength=self.n)
 
     def cover_mask(
         self, ids: np.ndarray, *, include_sources: bool = True

@@ -99,7 +99,7 @@ def repair_selection(
             uncovered[newly] = False
             uncovered[pick] = False
             sources = np.append(newly, np.int64(pick))
-            csr.decrement(counts, sources, uncovered)
+            csr.decrement(counts, sources)
 
     added_arr = np.asarray(sorted(added_local), dtype=np.int64)
     selected_local = np.concatenate([survivors_local, added_arr]).astype(np.int64)

@@ -84,11 +84,9 @@ class TestCSRStructure:
     def test_decrement_counts_once_per_adjacency(self):
         csr = self.simple()
         counts = csr.degrees.astype(np.int64)
-        eligible = np.ones(4, bool)
-        touched = csr.decrement(counts, np.array([0, 1]), eligible)
+        assert csr.decrement(counts, np.array([0, 1])) is None
         # 0 and 1 are mutually adjacent and both adjacent to 2.
         assert counts.tolist() == [1, 1, 0, 0]
-        assert touched.tolist() == [0, 1, 2]
 
     def test_rejects_inconsistent_indptr(self):
         with pytest.raises(ValueError):
@@ -484,75 +482,6 @@ class TestValidateIds:
             index.validate_ids(np.array([0, 60]))
         with pytest.raises(IndexError, match="-1"):
             index.validate_ids([-1])
-
-
-# ----------------------------------------------------------------------
-# PR 2: the priority structure and the selection strategies
-# ----------------------------------------------------------------------
-class TestMaxSegmentTree:
-    def test_argmax_matches_np_argmax_with_ties(self):
-        from repro.graph.priority import MaxSegmentTree
-
-        scores = np.array([3, 7, 7, 1, 7, 0], dtype=np.int64)
-        tree = MaxSegmentTree(scores)
-        assert tree.argmax() == 1  # first maximum, exactly like np.argmax
-        tree.update_one(1, -1)
-        assert tree.argmax() == 2
-        assert tree.max_value == 7
-
-    def test_update_many_repairs_ancestors(self, rng):
-        from repro.graph.priority import MaxSegmentTree
-
-        scores = rng.integers(0, 100, size=513).astype(np.int64)
-        tree = MaxSegmentTree(scores)
-        for _ in range(50):
-            ids = rng.integers(0, 513, size=rng.integers(1, 40))
-            vals = rng.integers(-1, 100, size=ids.size).astype(np.int64)
-            scores[ids] = vals  # duplicate ids: last write wins both sides
-            tree.update_many(ids, vals)
-            assert tree.argmax() == int(np.argmax(scores))
-            assert tree.max_value == int(scores.max())
-
-    def test_single_leaf_tree(self):
-        from repro.graph.priority import MaxSegmentTree
-
-        tree = MaxSegmentTree(np.array([5], dtype=np.int64))
-        assert tree.argmax() == 0
-        tree.update_many(np.array([0]), np.array([2]))
-        assert tree.max_value == 2
-
-    def test_rejects_empty(self):
-        from repro.graph.priority import MaxSegmentTree
-
-        with pytest.raises(ValueError):
-            MaxSegmentTree(np.empty(0, dtype=np.int64))
-
-
-@pytest.mark.parametrize("strategy", ["lazy", "eager"])
-@pytest.mark.parametrize("family", sorted(DATASET_FAMILIES))
-def test_selection_strategies_identical(family, strategy, monkeypatch):
-    """Both CSR selection strategies must replay the legacy order —
-    the verified-pop lazy loop and the eager decrement sweep."""
-    import repro.core.greedy as greedy_module
-
-    monkeypatch.setattr(greedy_module, "CSR_SELECTION_STRATEGY", strategy)
-    data = DATASET_FAMILIES[family]()
-    radius = _FAMILY_RADII[family]
-    legacy = BruteForceIndex(data.points, data.metric, accelerate=False)
-    fast = BruteForceIndex(data.points, data.metric)
-    assert greedy_disc(legacy, radius).selected == greedy_disc(fast, radius).selected
-    legacy = BruteForceIndex(data.points, data.metric, accelerate=False)
-    fast = BruteForceIndex(data.points, data.metric)
-    assert greedy_c(legacy, radius).selected == greedy_c(fast, radius).selected
-
-
-def test_strategy_validation(small_uniform, monkeypatch):
-    import repro.core.greedy as greedy_module
-
-    monkeypatch.setattr(greedy_module, "CSR_SELECTION_STRATEGY", "bogus")
-    index = BruteForceIndex(small_uniform, EUCLIDEAN)
-    with pytest.raises(ValueError, match="strategy"):
-        greedy_disc(index, 0.15)
 
 
 # ----------------------------------------------------------------------
