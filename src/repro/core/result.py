@@ -89,8 +89,12 @@ class DiscResult:
     # ------------------------------------------------------------------
     # Wire format (the response side of repro.requests)
     # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
+    def to_dict(self, *, closest_black: bool = True) -> dict:
         """Plain-dict form: JSON-serialisable for JSON-safe ``meta``.
+
+        ``closest_black=False`` leaves the ``closest_black`` key out and
+        never builds its n-float list (the ``/zoom`` answer without
+        ``include``).
 
         ``coloring`` is deliberately not serialised — it is a live
         index-subscribed object meaningful only in the producing
@@ -108,18 +112,20 @@ class DiscResult:
         the service layer relies on this to coalesce and cache
         responses.
         """
-        return {
+        payload = {
             "selected": [int(i) for i in self.selected],
             "radius": float(self.radius),
             "algorithm": self.algorithm,
             "stats": _plain(self.stats.to_dict()),
-            "closest_black": (
+        }
+        if closest_black:
+            payload["closest_black"] = (
                 None
                 if self.closest_black is None
                 else [float(d) for d in self.closest_black]
-            ),
-            "meta": _plain(self.meta),
-        }
+            )
+        payload["meta"] = _plain(self.meta)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DiscResult":

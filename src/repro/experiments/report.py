@@ -125,7 +125,9 @@ repeating constantly.
   ..., "meta": {...}}, "elapsed_s": ..., "coalesced": false,
   "degraded": false}`.
   A zoom body adds `"to": r2` (and optionally `"greedy"` / `"variant"`)
-  and returns both the base and the adapted result.  Errors are
+  and returns both the base and the adapted result, without their
+  n-float `closest_black` arrays unless the body asks for them with
+  `"include": ["closest_black"]`.  Errors are
   structured `{"error": {"code", "message"}}` bodies — see the
   failure-modes table in the fault-tolerance section below.
 * **Shared dataset registry** — datasets load once per process and are
@@ -373,7 +375,8 @@ the reverse) makes each request tell its own story.
   is off.  The executor hop re-enters the loop's span via
   `attach`.  Every response carries `X-Repro-Trace:
   <trace_id>:<span_id>` plus a `Server-Timing` header
-  (total/build/select, parsed by `ServiceClient.last_server_timing`).
+  (total/build/select, parsed by `ServiceClient.last_server_timing`);
+  the supervised front forwards the worker's and appends `front`.
 * **Cross-process propagation** — the supervisor front mints the
   trace id and stamps the header on the proxied worker request,
   re-stamped identically on every replay attempt, and the worker's

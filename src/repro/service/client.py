@@ -24,7 +24,7 @@ import http.client
 import json
 import socket
 import time
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.service.resilience import RetryPolicy
 
@@ -258,6 +258,7 @@ class ServiceClient:
         engine=None,
         timeout_ms: Optional[float] = None,
         previous: Optional[dict] = None,
+        include: Optional[Sequence[str]] = None,
         **zoom_options,
     ) -> dict:
         """Zoom ``dataset`` from ``radius`` to ``to``.
@@ -265,7 +266,9 @@ class ServiceClient:
         ``previous`` (``{"selected": [...], "closest_black": [...]?,
         "closest_black_exact": bool?, "version": int?}``) replays a
         held solution so the server adapts it instead of recomputing
-        the base selection.
+        the base selection.  The answer's ``from_result`` and
+        ``result`` carry no ``closest_black`` unless ``include``
+        names it (``include=["closest_black"]``: n floats each).
         """
         payload = {
             "dataset": dataset,
@@ -276,6 +279,8 @@ class ServiceClient:
         }
         if previous is not None:
             payload["previous"] = previous
+        if include is not None:
+            payload["include"] = list(include)
         if engine is not None:
             payload["engine"] = engine
         if timeout_ms is not None:

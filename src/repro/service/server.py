@@ -18,7 +18,9 @@ Endpoints
     ``r`` (with closest-black tracking) and adapts to ``r2`` via
     zoom-in/zoom-out; returns both results.  With ``"previous":
     {"selected": [...], ...}`` the client's held solution is adapted
-    directly — no base recompute.
+    directly — no base recompute.  The results leave out the n-float
+    ``closest_black`` arrays unless the body asks for them with
+    ``"include": ["closest_black"]``.
 ``POST /mutate``
     ``{"dataset": name, "inserts": [[...]...], "deletes": [ids...],
     "repair": {"radius": r, "previous": [ids...]}?}`` against a *live*
@@ -73,7 +75,7 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro import __version__
 from repro.obs import trace as obs_trace
@@ -187,7 +189,7 @@ async def read_http_request(
 async def write_http_response(
     writer,
     status: int,
-    payload: dict,
+    payload: Union[dict, bytes],
     keep_alive: bool,
     extra_headers=None,
 ) -> None:
@@ -195,12 +197,17 @@ async def write_http_response(
 
     ``payload`` is JSON unless it carries the ``\\x00text`` sentinel
     key, in which case that value goes out verbatim as Prometheus-style
-    ``text/plain`` (the ``/metrics`` endpoint).  ``extra_headers`` is
-    an iterable of ``(name, value)`` pairs — ``X-Repro-Trace`` and
-    ``Server-Timing`` ride here.
+    ``text/plain`` (the ``/metrics`` endpoint).  ``bytes`` are an
+    already-encoded JSON body and go out verbatim (the supervised front
+    forwarding a worker's answer).  ``extra_headers`` is an iterable of
+    ``(name, value)`` pairs — ``X-Repro-Trace`` and ``Server-Timing``
+    ride here.
     """
     text = payload.get("\x00text") if isinstance(payload, dict) else None
-    if text is not None:
+    if isinstance(payload, bytes):
+        body = payload
+        content_type = "application/json"
+    elif text is not None:
         body = text.encode("utf-8")
         content_type = "text/plain; version=0.0.4; charset=utf-8"
     else:
@@ -556,6 +563,8 @@ class DiscServer:
                 self.state.validate_zoom(payload)
             )
         token = self.state.deadline_token(timeout_ms)
+        # ``zoom_options`` carries ``include``: answers with and without
+        # the closest-black arrays never share one body.
         key_payload = {
             "request": request.to_dict(), "to": to_radius, **zoom_options,
         }

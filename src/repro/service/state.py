@@ -294,11 +294,13 @@ class ServiceState:
 
         Returns ``(handle, select_request, to_radius, zoom_options,
         previous)``; ``zoom_options`` carries ``greedy`` (zoom-in) /
-        ``variant`` (zoom-out).  ``previous`` is the validated
-        client-held base solution when the body carries one (see
-        :meth:`_validate_previous`), else None — with it the server
-        *adapts* the client's selection instead of recomputing the base
-        selection first.
+        ``variant`` (zoom-out) and ``include``, the sorted optional
+        response fields (``["closest_black"]`` or ``[]``: the n-float
+        arrays go on the wire only when asked for).  ``previous`` is
+        the validated client-held base solution when the body carries
+        one (see :meth:`_validate_previous`), else None — with it the
+        server *adapts* the client's selection instead of recomputing
+        the base selection first.
         """
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
@@ -330,9 +332,18 @@ class ServiceState:
             raise ValueError(
                 f"'to' must differ from 'radius' (both {to_radius})"
             )
+        include = payload.get("include", [])
+        if not isinstance(include, list) or any(
+            field != "closest_black" for field in include
+        ):
+            raise ValueError(
+                "'include' must be a list of optional response fields; "
+                "the only one is 'closest_black'"
+            )
         zoom_options = {
             "greedy": bool(payload.get("greedy", True)),
             "variant": payload.get("variant", "a"),
+            "include": sorted(set(include)),
         }
         previous = self._validate_previous(handle, request, raw_previous)
         # The closest-black distances of Section 5.2 are what makes the
@@ -648,7 +659,9 @@ class ServiceState:
         :meth:`validate_zoom`) the base selection is *not* recomputed:
         the client's selected set becomes the zoom's starting point —
         the session statefulness of the paper's Section 5.2 without the
-        server holding per-client state.
+        server holding per-client state.  Both results carry
+        ``closest_black`` only when ``zoom_options["include"]`` names
+        it; the zoom tracks the distances internally either way.
         """
         self.count_computation()
         if token is None:
@@ -686,13 +699,14 @@ class ServiceState:
         degraded = token.degraded is not None
         if degraded:
             self.count_degraded()
+        closest_black = "closest_black" in zoom_options.get("include", ())
         response = {
             "dataset": handle.dataset_id,
             "request": request.to_dict(),
             "to": float(to_radius),
             "direction": direction,
-            "from_result": first.to_dict(),
-            "result": adapted.to_dict(),
+            "from_result": first.to_dict(closest_black=closest_black),
+            "result": adapted.to_dict(closest_black=closest_black),
             "elapsed_s": round(time.perf_counter() - t0, 6),
             "degraded": degraded,
         }

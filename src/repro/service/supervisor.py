@@ -57,7 +57,7 @@ import time
 import uuid
 from collections import deque
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -296,8 +296,13 @@ class WorkerProcess:
 # ----------------------------------------------------------------------
 # Front
 # ----------------------------------------------------------------------
-async def _read_http_response(reader) -> Tuple[int, dict, bool]:
-    """Parse one HTTP/1.1 response from a worker connection."""
+async def _read_http_response(reader) -> Tuple[int, Dict[str, str], bytes, bool]:
+    """Read one HTTP/1.1 response from a worker connection.
+
+    Returns ``(status, headers, body, keep_alive)`` with lowercased
+    header names and ``body`` the bytes the worker wrote: the front
+    forwards compute answers without decoding them.
+    """
     status_line = await reader.readline()
     if not status_line:
         raise asyncio.IncompleteReadError(b"", None)
@@ -315,10 +320,21 @@ async def _read_http_response(reader) -> Tuple[int, dict, bool]:
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     length = int(headers.get("content-length", "0") or "0")
-    raw = await reader.readexactly(length) if length else b""
-    payload = json.loads(raw.decode("utf-8")) if raw else {}
+    body = await reader.readexactly(length) if length else b""
     keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-    return status, payload, keep_alive
+    return status, headers, body, keep_alive
+
+
+def _decode(body: bytes):
+    """A worker body as JSON, for the callers that read its fields."""
+    return json.loads(body) if body else {}
+
+
+class _WorkerAnswer(NamedTuple):
+    """A worker's answer, written to the client as the worker wrote it."""
+
+    body: bytes
+    server_timing: Optional[str]
 
 
 class _WorkerSlot:
@@ -604,6 +620,11 @@ class Supervisor:
                         "request", header=headers.get("x-repro-trace")
                     ) as root:
                         status, payload = await self._route(method, path, body)
+                    timing = f"front;dur={root.elapsed_ms():.3f}"
+                    if isinstance(payload, _WorkerAnswer):
+                        if payload.server_timing:
+                            timing = f"{payload.server_timing}, {timing}"
+                        payload = payload.body
                     key = str(status)
                     self.responses[key] = self.responses.get(key, 0) + 1
                     self._m_responses.inc(status=status)
@@ -616,7 +637,8 @@ class Supervisor:
                             (
                                 obs_trace.TRACE_HEADER,
                                 obs_trace.format_trace_header(root),
-                            )
+                            ),
+                            ("Server-Timing", timing),
                         ],
                     )
                     self._emit_trace(root, status, method, path)
@@ -642,7 +664,9 @@ class Supervisor:
             except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
                 pass
 
-    async def _route(self, method: str, path: str, body) -> Tuple[int, dict]:
+    async def _route(
+        self, method: str, path: str, body
+    ) -> Tuple[int, Union[dict, _WorkerAnswer]]:
         if path == "\x00too-large":
             return 413, error_body("payload_too_large", "request body too large")
         if path == "\x00bad-length":
@@ -709,10 +733,11 @@ class Supervisor:
             if slot.state != "healthy":
                 continue
             try:
-                status, payload = await self._proxy(slot, "GET", "/stats", b"")
+                status, _headers, body = await self._proxy(slot, "GET", "/stats", b"")
             except _TRANSPORT_ERRORS:
                 continue
-            if status == 200 and isinstance(payload, dict):
+            payload = _decode(body) if status == 200 else None
+            if isinstance(payload, dict):
                 snap = payload.get("metrics")
                 if isinstance(snap, dict):
                     snaps.append(snap)
@@ -756,7 +781,9 @@ class Supervisor:
                 return True
         return False
 
-    async def _compute(self, path: str, body) -> Tuple[int, dict]:
+    async def _compute(
+        self, path: str, body
+    ) -> Tuple[int, Union[dict, _WorkerAnswer]]:
         body = dict(body or {})
         dataset = body.get("dataset")
         if dataset is None and isinstance(body.get("request"), dict):
@@ -789,7 +816,9 @@ class Supervisor:
                 with obs_trace.phase(
                     "proxy", worker=slot.id, attempt=replays + 1
                 ):
-                    status, payload = await self._proxy(slot, "POST", path, raw)
+                    status, headers, answer = await self._proxy(
+                        slot, "POST", path, raw
+                    )
             except _TRANSPORT_ERRORS:
                 # The worker died (or its socket did) with our request
                 # in flight.  If the process is already a corpse, start
@@ -820,7 +849,7 @@ class Supervisor:
                 continue
             finally:
                 slot.inflight -= 1
-            return status, payload
+            return status, _WorkerAnswer(answer, headers.get("server-timing"))
 
     async def _mutate_fanout(self, body) -> Tuple[int, dict]:
         """Apply one mutation batch to *every* healthy replica.
@@ -866,7 +895,9 @@ class Supervisor:
                     continue
                 slot.inflight += 1
                 try:
-                    status, payload = await self._proxy(slot, "POST", "/mutate", raw)
+                    status, _headers, answer = await self._proxy(
+                        slot, "POST", "/mutate", raw
+                    )
                 except _TRANSPORT_ERRORS:
                     # Same corpse detection as _compute — but no
                     # failover replay: the restart's log replay is the
@@ -884,9 +915,9 @@ class Supervisor:
                 finally:
                     slot.inflight -= 1
                 if status == 200:
-                    successes.append(payload)
+                    successes.append(_decode(answer))
                 elif first_error is None:
-                    first_error = (status, payload)
+                    first_error = (status, _decode(answer))
             if not successes:
                 if first_error is not None:
                     return first_error
@@ -908,14 +939,17 @@ class Supervisor:
             response["replicas_applied"] = len(successes)
             return 200, response
 
-    async def _forward_get(self, path: str) -> Tuple[int, dict]:
+    async def _forward_get(
+        self, path: str
+    ) -> Tuple[int, Union[dict, _WorkerAnswer]]:
         slot = self._pick(None)
         if slot is None:
             return 503, error_body("no_workers", "no healthy worker")
         try:
-            return await self._proxy(slot, "GET", path, b"")
+            status, headers, answer = await self._proxy(slot, "GET", path, b"")
         except _TRANSPORT_ERRORS:
             return 503, error_body("no_workers", "worker connection lost")
+        return status, _WorkerAnswer(answer, headers.get("server-timing"))
 
     # ------------------------------------------------------------------
     # Worker connections
@@ -932,7 +966,7 @@ class Supervisor:
 
     async def _proxy(
         self, slot: _WorkerSlot, method: str, path: str, raw: bytes
-    ) -> Tuple[int, dict]:
+    ) -> Tuple[int, Dict[str, str], bytes]:
         generation = slot.generation
         reader, writer = await self._checkout(slot)
         try:
@@ -959,7 +993,7 @@ class Supervisor:
             ).encode("latin-1")
             writer.write(head + raw)
             await writer.drain()
-            status, payload, keep_alive = await _read_http_response(reader)
+            status, headers, body, keep_alive = await _read_http_response(reader)
         except BaseException:
             writer.close()
             raise
@@ -971,7 +1005,7 @@ class Supervisor:
             slot.pool.append((reader, writer))
         else:
             writer.close()
-        return status, payload
+        return status, headers, body
 
     def _close_pool(self, slot: _WorkerSlot) -> None:
         while slot.pool:
@@ -993,7 +1027,7 @@ class Supervisor:
                 b"GET /healthz HTTP/1.1\r\nHost: hb\r\nConnection: close\r\n\r\n"
             )
             await writer.drain()
-            status, _payload, _keep = await asyncio.wait_for(
+            status, _headers, _body, _keep = await asyncio.wait_for(
                 _read_http_response(reader), self.probe_timeout_s
             )
             return status == 200
@@ -1118,13 +1152,13 @@ class Supervisor:
                 acquired.append(lock)
             for name in datasets:
                 for entry in self._mutation_logs.get(name, []):
-                    status, payload = await self._proxy(
+                    status, _headers, answer = await self._proxy(
                         slot, "POST", "/mutate", _json_bytes(entry)
                     )
                     if status != 200:
                         raise RuntimeError(
                             f"mutation replay for {name!r} answered {status}: "
-                            f"{payload}"
+                            f"{_decode(answer)}"
                         )
                     self.mutations_replayed += 1
             slot.state = "healthy"
@@ -1155,10 +1189,13 @@ class Supervisor:
             entry["stats"] = None
             if slot.state == "healthy":
                 try:
-                    status, payload = await self._proxy(slot, "GET", "/stats", b"")
+                    status, _headers, body = await self._proxy(
+                        slot, "GET", "/stats", b""
+                    )
                 except _TRANSPORT_ERRORS:
-                    status, payload = None, None
-                if status == 200 and isinstance(payload, dict):
+                    status, body = None, b""
+                payload = _decode(body) if status == 200 else None
+                if isinstance(payload, dict):
                     entry["stats"] = payload
                     totals["computations"] += payload.get("computations", 0) or 0
                     totals["coalesced_requests"] += (

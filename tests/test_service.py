@@ -29,7 +29,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import DiscSession, disc_select
+from repro.api import DiscSession, build_index, disc_select
+from repro.core import closest_black_distances
 from repro.datasets import uniform_dataset
 from repro.service import (
     DatasetRegistry,
@@ -402,6 +403,117 @@ class TestServerEndpoints:
             client.select("uniform", 0.11, engine=ENGINE)
         hits_after = client.stats()["cache"]["hits"]
         assert hits_after > hits_before
+
+
+class TestZoomInclude:
+    """``/zoom`` leaves the n-float ``closest_black`` arrays out unless
+    the body asks for them with ``include``."""
+
+    INCLUDE = ["closest_black"]
+
+    def test_default_answer_has_no_closest_black(self, client):
+        for to in (RADIUS / 2, RADIUS * 2):
+            zoomed = client.zoom("uniform", RADIUS, to, engine=ENGINE)
+            assert "closest_black" not in zoomed["from_result"]
+            assert "closest_black" not in zoomed["result"]
+
+    def test_include_returns_exact_distances(self, client):
+        index = build_index(
+            uniform_dataset(n=N, seed=SEED), engine="grid", cell_size=RADIUS
+        )
+        for to in (RADIUS / 2, RADIUS * 2):
+            zoomed = client.zoom(
+                "uniform", RADIUS, to, engine=ENGINE, include=self.INCLUDE
+            )
+            for key in ("from_result", "result"):
+                got = zoomed[key]["closest_black"]
+                assert len(got) == N
+                expected = closest_black_distances(index, zoomed[key]["selected"])
+                np.testing.assert_array_equal(np.asarray(got), expected)
+
+    def test_replaying_distances_matches_replaying_selection(self, client):
+        for to in (RADIUS / 2, RADIUS * 2):
+            base = client.zoom(
+                "uniform", RADIUS, to, engine=ENGINE, include=self.INCLUDE
+            )["from_result"]
+            held = {"selected": base["selected"], "radius": RADIUS}
+            with_distances = client.zoom(
+                "uniform", RADIUS, to, engine=ENGINE,
+                previous=dict(
+                    held,
+                    closest_black=base["closest_black"],
+                    closest_black_exact=True,
+                ),
+            )
+            without = client.zoom(
+                "uniform", RADIUS, to, engine=ENGINE, previous=held
+            )
+            assert (
+                with_distances["result"]["selected"]
+                == without["result"]["selected"]
+            )
+
+    @pytest.mark.parametrize(
+        "include", [["closest_black", "bogus"], "closest_black", {"a": 1}, [1]]
+    )
+    def test_bad_include_is_400(self, client, include):
+        status, payload = client.request(
+            "POST",
+            "/zoom",
+            {"dataset": "uniform", "radius": RADIUS, "to": RADIUS / 2,
+             "engine": ENGINE, "include": include},
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "bad_request"
+        assert "include" in payload["error"]["message"]
+
+    def test_include_is_part_of_the_coalescing_key(self, service, monkeypatch):
+        """Two concurrent zooms differing only in ``include`` both
+        compute: a shared body would hand one of them the wrong shape."""
+        state = service.state
+        original = state.run_zoom
+        both_running = threading.Barrier(2, timeout=10)
+        calls = []
+
+        def gated_run_zoom(*args, **kwargs):
+            calls.append(1)
+            try:
+                both_running.wait()
+            except threading.BrokenBarrierError:
+                pass  # coalesced: the second call never arrives
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(state, "run_zoom", gated_run_zoom)
+        answers, errors = {}, []
+
+        def zoom(include):
+            try:
+                with ServiceClient(service.host, service.port) as c:
+                    answers[bool(include)] = c.zoom(
+                        "clustered", 0.0875, 0.04375, engine=ENGINE,
+                        include=include,
+                    )
+            except BaseException as exc:  # pragma: no cover - surfacing
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=zoom, args=(include,))
+            for include in (None, self.INCLUDE)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        assert len(calls) == 2
+        assert not answers[False]["coalesced"]
+        assert not answers[True]["coalesced"]
+        assert "closest_black" not in answers[False]["result"]
+        assert len(answers[True]["result"]["closest_black"]) == N
+        assert (
+            answers[False]["result"]["selected"]
+            == answers[True]["result"]["selected"]
+        )
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,13 @@ Three layers, cheapest first:
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -31,7 +33,11 @@ from repro.datasets import uniform_dataset
 from repro.graph.csr import CSRNeighborhood
 from repro.service import shm as shm_mod
 from repro.service.cache import SharedCacheManager
-from repro.service.client import ServiceClient, wait_until_healthy
+from repro.service.client import (
+    ServiceClient,
+    parse_server_timing,
+    wait_until_healthy,
+)
 from repro.service.faults import FaultConfig
 from repro.service.server import start_in_thread
 from repro.service.shm import SharedSegmentStore, ShmCacheBacking
@@ -458,6 +464,146 @@ class TestSupervisedCluster:
         assert proc.returncode == 2
         message = json.loads(proc.stdout.strip().splitlines()[-1])
         assert "worker_error" in message
+
+
+# ----------------------------------------------------------------------
+# The front forwards worker bytes and Server-Timing
+# ----------------------------------------------------------------------
+#: Deliberately non-canonical worker answers: unsorted keys, odd
+#: whitespace, error bodies.  A front that re-encodes would change them.
+STUB_ANSWERS = {
+    ("/select", "ok"): (200, b'{"zeta": 1,\n   "alpha" :[3, 2,1] }  '),
+    ("/zoom", "ok"): (200, b'{ "result" : {"selected":[5,1]},"a":0.10}'),
+    ("/select", "bad"): (400, b'{"error": { "message":"no", "code":"bad_request"}}'),
+    ("/zoom", "down"): (503, b'{"error":{"code" : "overloaded","message":"busy"} }\n'),
+}
+STUB_TIMING = "total;dur=2.500, build;dur=0.000, select;dur=1.250"
+
+
+class _StubWorker:
+    """A worker slot's process stand-in: an HTTP server answering each
+    ``(path, dataset)`` with the fixed bytes of :data:`STUB_ANSWERS`."""
+
+    def __init__(self) -> None:
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def _answer(self, status, body):
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.send_header("Server-Timing", STUB_TIMING)
+                self.end_headers()
+                self.wfile.write(body)
+
+            def do_GET(self):
+                self._answer(200, b'{"status": "ok"}')
+
+            def do_POST(self):
+                length = int(self.headers.get("Content-Length", "0"))
+                request = json.loads(self.rfile.read(length))
+                self._answer(*STUB_ANSWERS[(self.path, request["dataset"])])
+
+            def log_message(self, *args):
+                pass
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.server.daemon_threads = True
+        self.port = self.server.server_address[1]
+        self.pid = os.getpid()
+        self.settled = threading.Event()
+        self.settled.set()
+        threading.Thread(target=self.server.serve_forever, daemon=True).start()
+
+    def poll(self):
+        return None
+
+    def alive(self):
+        return True
+
+    def terminate(self):
+        self.server.shutdown()
+        self.server.server_close()
+
+    kill = terminate
+
+    def wait(self, timeout=None):
+        return 0
+
+
+def _raw_post(host, port, path, payload):
+    conn = http.client.HTTPConnection(host, port, timeout=60)
+    try:
+        conn.request(
+            "POST", path, body=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        return response.status, dict(response.getheaders()), response.read()
+    finally:
+        conn.close()
+
+
+class TestFrontPassThrough:
+    def test_worker_bytes_and_status_reach_the_client_unchanged(self, monkeypatch):
+        monkeypatch.setattr(
+            Supervisor, "_spawn_worker", lambda self, slot: _StubWorker()
+        )
+        cluster = start_supervised(["stub"], 1, use_shm=False)
+        try:
+            for (path, dataset), (status, body) in STUB_ANSWERS.items():
+                got_status, headers, got_body = _raw_post(
+                    cluster.host, cluster.port, path, {"dataset": dataset}
+                )
+                assert (got_status, got_body) == (status, body), (path, dataset)
+                assert headers["Content-Length"] == str(len(body))
+                assert "X-Repro-Trace" in headers
+                timing = headers["Server-Timing"]
+                assert timing.startswith(STUB_TIMING + ", front;dur=")
+        finally:
+            cluster.stop()
+
+    def test_real_cluster_forwards_bytes_and_server_timing(self, monkeypatch):
+        """A supervised ``/zoom`` body is byte for byte what the worker
+        wrote, and ``/select`` carries the worker's Server-Timing plus
+        the front's own component."""
+        from repro.service import supervisor as supervisor_mod
+
+        worker_bodies = []
+        read = supervisor_mod._read_http_response
+
+        async def tapped(reader):
+            answer = await read(reader)
+            worker_bodies.append(answer[2])
+            return answer
+
+        monkeypatch.setattr(supervisor_mod, "_read_http_response", tapped)
+        cluster = start_supervised(["uniform"], 2, n=300, threads=2)
+        try:
+            status, headers, _body = _raw_post(
+                cluster.host, cluster.port, "/select",
+                {"dataset": "uniform", "radius": 0.1, "engine": ENGINE},
+            )
+            assert status == 200
+            timing = parse_server_timing(headers["Server-Timing"])
+            assert {"total", "build", "select", "front"} <= set(timing)
+            assert timing["front"] >= timing["total"]
+            status, headers, body = _raw_post(
+                cluster.host, cluster.port, "/zoom",
+                {"dataset": "uniform", "radius": 0.1, "to": 0.05,
+                 "engine": ENGINE},
+            )
+            assert status == 200
+            assert body in worker_bodies
+            assert "closest_black" not in json.loads(body)["result"]
+            assert "front" in parse_server_timing(headers["Server-Timing"])
+            with ServiceClient(cluster.host, cluster.port) as client:
+                catalogue = client.datasets()["datasets"]
+            assert [row["id"] for row in catalogue] == ["uniform"]
+        finally:
+            cluster.stop()
 
 
 # ----------------------------------------------------------------------
