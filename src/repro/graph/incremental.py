@@ -31,9 +31,21 @@ batch's, so each merge appends a row's new entries after its old ones.
   and inserted at their rows' ends in one pass.  Cost is the touched
   cells' neighborhoods plus one linear copy of the overlay.
 * **delete**: a deletion is an alive-mask concern, not a structural
-  one — edges are geometric facts about points, so nothing is unlinked.
-  :meth:`snapshot_csr` filters dead endpoints out when compacting, in
-  one vectorised pass over both levels.
+  one — edges are geometric facts about points, so nothing is unlinked
+  and :meth:`row` still lists dead neighbors.  Compaction drops them.
+
+Compaction (:meth:`snapshot_csr`) advances from an *origin*: the last
+snapshot produced, kept as ``(alive mask, compacted CSR, per-row
+overlay length)`` — at first the base with every id alive.  Dead ids
+never revive, so each newer mask is a forward step: remap the origin's
+local ids through the new lookup (one gather), drop the newly dead rows
+and columns (one compress), and append to each row its overlay *tail*,
+the entries past the recorded length — the edges added since, already
+at the row's end.  Ids inserted since have only a tail.  The cost is
+the origin's edges plus the delta, not every edge ever built, and rows
+go in batches of about a million entries into one preallocated output.
+An older mask (a reader pinned to an earlier version) advances from the
+base instead and leaves the origin alone.
 
 The edge set is *identical* to a fresh
 :func:`~repro.graph.csr.build_csr_grid` /
@@ -67,27 +79,20 @@ from repro.validation import validate_radius
 __all__ = ["IncrementalNeighborhood"]
 
 
-def _compact_level(
-    indptr: np.ndarray, indices: np.ndarray, alive: np.ndarray, lookup: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One CSR level filtered to alive endpoints and remapped to local ids.
+#: Entries per advance batch: each batch's index arrays stay a few MB
+#: whatever the snapshot's size.
+_ADVANCE_BATCH = 1 << 20
 
-    Returns ``(counts, local)``: each row's surviving entry count and
-    the survivors' local ids in stream (row, then column) order.  The
-    lookup marks dead ids ``-1``, so one gather both remaps and filters
-    the columns; a segmented sum over the non-empty rows counts them.
-    """
-    local = lookup[indices]
-    degree = np.diff(indptr)
-    keep = local >= 0
-    keep &= np.repeat(alive[: degree.size], degree)
-    counts = np.zeros(degree.size, dtype=np.int64)
-    nonempty = np.flatnonzero(degree)
-    if nonempty.size:
-        counts[nonempty] = np.add.reduceat(
-            keep, indptr[nonempty], dtype=np.int32
-        )
-    return counts, local[keep]
+
+def _kept_per_row(keep: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Kept entries per row of a flat stream cut into ``lengths`` rows
+    (non-empty rows only: reduceat gives an empty one a stray element)."""
+    counts = np.zeros(lengths.size, dtype=np.int64)
+    rows = np.flatnonzero(lengths)
+    if rows.size:
+        starts = (np.cumsum(lengths) - lengths)[rows]
+        counts[rows] = np.add.reduceat(keep.view(np.uint8), starts, dtype=np.int32)
+    return counts
 
 
 class IncrementalNeighborhood:
@@ -145,6 +150,11 @@ class IncrementalNeighborhood:
             self._base = _assemble_grid_csr(points, metric, radius, plan)
         else:
             self._base = CSRNeighborhood.empty()
+        #: The snapshot origin ``(alive mask, compacted CSR, per-row
+        #: overlay length)``: the last forward snapshot, at first the base.
+        n0 = self._base.n
+        self._first = (np.ones(n0, bool), self._base, np.zeros(n0, np.int64))
+        self._last = self._first
 
     # ------------------------------------------------------------------
     @property
@@ -312,47 +322,101 @@ class IncrementalNeighborhood:
     def snapshot_csr(self, alive: np.ndarray) -> CSRNeighborhood:
         """The alive-only adjacency in *local* (compacted) id space.
 
-        ``alive`` is the boolean mask over all ``n`` ids; local id ``i``
-        is the i-th alive global id (``np.flatnonzero(alive)``).  The
-        result equals a fresh grid/pairwise build over the alive points
-        — same edges, same ascending rows — so cached snapshots can be
-        migrated across dataset versions without breaking byte parity.
+        ``alive`` is a boolean mask over the first ``len(alive)`` ids
+        (ids past its end arrived later and count as dead); local id
+        ``i`` is the i-th alive global id (``np.flatnonzero(alive)``).
+        The result equals a fresh grid/pairwise build over the alive
+        points — same edges, same ascending rows, same dtypes — so
+        cached snapshots can be migrated across dataset versions
+        without breaking byte parity.
 
-        One vectorised pass: filter both levels' edges by ``alive`` and
-        remap them through an int32 lookup (monotone, so rows stay
-        ascending), then lay each row out as its base survivors followed
-        by its overlay survivors — ascending, see the module docstring.
+        A forward mask (none of its alive ids dead in the origin)
+        advances from the origin and, if full-length, replaces it; an
+        older version's mask advances from the base.  The same mask
+        twice returns the same object.
         """
         alive = np.asarray(alive, dtype=bool)
-        if alive.shape[0] != self.n:
+        if alive.shape[0] > self.n:
             raise ValueError(
                 f"alive mask has {alive.shape[0]} entries for {self.n} ids"
             )
-        token = current_token()
-        if token is not None:
-            token.checkpoint()
+        mask = self._last[0]
+        # ``alive > mask``: alive now, dead in the origin.
+        if alive.size < mask.size or np.any(alive[: mask.size] > mask):
+            return self._advance(self._first, alive)
+        csr = self._advance(self._last, alive)
+        if csr is not self._last[1] and alive.size == self.n:
+            self._last = (alive.copy(), csr, np.diff(self._overlay_indptr))
+        return csr
+
+    def _advance(self, origin: tuple, alive: np.ndarray) -> CSRNeighborhood:
+        """Advance ``origin`` to the forward mask ``alive``: each kept
+        origin row, then its kept overlay tail (see the module doc)."""
+        mask, csr, overlay_len = origin
+        if alive.size < mask.size:  # older than the base: the rest is dead
+            alive = np.concatenate((alive, np.zeros(mask.size - alive.size, bool)))
+        n = alive.size
+        if n == mask.size and np.array_equal(alive, mask):
+            return csr
         alive_ids = np.flatnonzero(alive)
         lookup = np.full(self.n, -1, dtype=np.int32)
         lookup[alive_ids] = np.arange(alive_ids.size, dtype=np.int32)
-
-        n0 = self._base.n
-        base_counts, base_local = _compact_level(
-            self._base.indptr, self._base.indices, alive, lookup
-        )
-        overlay_counts, overlay_local = _compact_level(
-            self._overlay_indptr, self._overlay_indices, alive, lookup
-        )
-        # Each overlay survivor goes right after its row's base survivors.
-        row_ends = np.full(self.n, base_local.size, dtype=np.int64)
-        np.cumsum(base_counts, out=row_ends[:n0])
-        indices = np.insert(
-            base_local, np.repeat(row_ends, overlay_counts), overlay_local
-        )
-        counts = overlay_counts
-        counts[:n0] += base_counts
-        # Dead rows kept nothing: the alive rows' counts are the layout.
+        origin_ids = np.flatnonzero(mask)
+        # Origin local id -> new local id, -1 once dead.
+        remap = np.take(lookup, origin_ids)
+        ptr = self._overlay_indptr
+        tail_start = ptr[:n].copy()
+        tail_start[: mask.size] += overlay_len
+        tail_len = ptr[1 : n + 1] - tail_start
+        # Prefix sums of each row's output bound (origin row + tail).
+        bound = np.zeros(n + 1, dtype=np.int64)
+        bound[1:] = tail_len
+        bound[origin_ids + 1] += np.diff(csr.indptr)
+        np.cumsum(bound, out=bound)
+        total = int(bound[-1])
+        marks = np.arange(_ADVANCE_BATCH, total, _ADVANCE_BATCH)
+        cuts = np.unique(np.concatenate(([0], np.searchsorted(bound, marks), [n])))
+        origin_cuts = np.searchsorted(origin_ids, cuts)
+        alive_cuts = np.searchsorted(alive_ids, cuts)
+        indices = np.empty(total, dtype=np.int32)
         indptr = np.zeros(alive_ids.size + 1, dtype=np.int64)
-        np.cumsum(counts[alive_ids], out=indptr[1:])
+        filled = 0
+        token = current_token()
+        for k in range(cuts.size - 1):
+            if token is not None:
+                token.checkpoint()
+            g0, g1 = int(cuts[k]), int(cuts[k + 1])
+            o0, o1 = int(origin_cuts[k]), int(origin_cuts[k + 1])
+            # Origin rows: one gather remaps, one compress drops the dead.
+            row_len = np.diff(csr.indptr[o0 : o1 + 1])
+            cols = remap[csr.indices[csr.indptr[o0] : csr.indptr[o1]]]
+            keep = cols >= 0
+            keep &= np.repeat(remap[o0:o1] >= 0, row_len)
+            kept = np.zeros(g1 - g0, dtype=np.int64)
+            kept[origin_ids[o0:o1] - g0] = _kept_per_row(keep, row_len)
+            cols = cols[keep]
+            # Overlay tails of the batch's rows.
+            lengths = tail_len[g0:g1]
+            offsets = tail_start[g0:g1] - (np.cumsum(lengths) - lengths)
+            positions = np.arange(int(lengths.sum()), dtype=np.int64)
+            positions += np.repeat(offsets, lengths)
+            tail = lookup[self._overlay_indices[positions]]
+            keep = tail >= 0
+            keep &= np.repeat(alive[g0:g1], lengths)
+            tail_kept = _kept_per_row(keep, lengths)
+            tail = tail[keep]
+            # Each row's tail goes right after its origin survivors.
+            out = indices[filled : filled + cols.size + tail.size]
+            at = np.repeat(np.cumsum(kept), tail_kept) + np.arange(tail.size)
+            slots = np.ones(out.size, dtype=bool)
+            slots[at] = False
+            out[at] = tail
+            out[slots] = cols
+            filled += out.size
+            kept += tail_kept
+            indptr[1 + alive_cuts[k] : 1 + alive_cuts[k + 1]] = kept[alive[g0:g1]]
+        indices.resize(filled, refcheck=False)
+        np.cumsum(indptr, out=indptr)
         return CSRNeighborhood(indptr, indices)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

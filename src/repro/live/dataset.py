@@ -17,14 +17,16 @@ snapshots*:
   construction.
 * **append buffers + compaction** — inserts accumulate in pending
   buffers; once enough batches pile up they are compacted into the
-  base coordinate array (one concatenate), keeping snapshot cost flat.
-  Tombstoned rows are *not* physically removed (that would renumber
-  ids); they are filtered out of snapshots by the alive mask.
+  base coordinate array (one concatenate), bounding how fragmented the
+  coordinate storage gets.  Tombstoned rows are *not* physically
+  removed (that would renumber ids); they are filtered out of
+  snapshots by the alive mask.
 * **incremental adjacency** — one
   :class:`~repro.graph.incremental.IncrementalNeighborhood` per radius
-  bucket that serving has materialised, fed every insert batch so a
-  post-mutation adjacency is a cheap alive-mask compaction, not a
-  rebuild.
+  bucket that serving has materialised, fed every insert batch.  It
+  keeps the last snapshot it produced, so a post-mutation adjacency is
+  a forward step from the previous version (its alive edges plus the
+  delta), not a rebuild.
 
 Thread safety: all mutation and snapshot entry points serialise on one
 re-entrant lock; served snapshots are frozen arrays, safe to read
@@ -72,7 +74,6 @@ class MutableDataset:
         "_alive": "self._lock",
         "_points_cache": "self._lock",
         "_adjacency": "self._lock",
-        "_snapshots": "self._lock",
         "_handle": "self._lock",
         "_log": "self._lock",
     }
@@ -90,10 +91,9 @@ class MutableDataset:
         self._pending: List[np.ndarray] = []
         self._alive = np.ones(self._base.shape[0], dtype=bool)
         self._points_cache: Optional[np.ndarray] = None
+        #: Per radius bucket; each keeps its last snapshot, which serves
+        #: both cache migration and selection repair.
         self._adjacency: Dict[float, IncrementalNeighborhood] = {}
-        #: (version, csr, alive_ids) per radius bucket — one snapshot
-        #: serves both cache migration and selection repair.
-        self._snapshots: Dict[float, tuple] = {}
         self._handle = None
         self._log: List[dict] = []
         self.version = 0
@@ -195,7 +195,6 @@ class MutableDataset:
             self.version += 1
             self.mutations += 1
             self._handle = None
-            self._snapshots.clear()
             delta = {
                 "version": self.version,
                 "inserted": [int(i) for i in inserted],
@@ -320,21 +319,13 @@ class MutableDataset:
         The CSR is in local (compacted) id space and byte-identical to
         a fresh build over the alive points; ``alive_ids`` maps local →
         global.  The per-bucket incremental structure is created on
-        first use and fed every later insert batch; repeated calls at
-        one version reuse one snapshot.
+        first use and fed every later insert batch; it advances each
+        version's snapshot from the previous one, and repeated calls at
+        one version return the same object.
         """
-        from repro.service.cache import radius_bucket
-
-        bucket = radius_bucket(radius)
         with self._lock:
-            cached = self._snapshots.get(bucket)
-            if cached is not None and cached[0] == self.version:
-                return cached[1], cached[2]
-            adjacency = self.ensure_adjacency(radius)
-            csr = adjacency.snapshot_csr(self._alive)
-            alive_ids = np.flatnonzero(self._alive)
-            self._snapshots[bucket] = (self.version, csr, alive_ids)
-            return csr, alive_ids
+            csr = self.ensure_adjacency(radius).snapshot_csr(self._alive)
+            return csr, np.flatnonzero(self._alive)
 
     def adjacency_snapshot_for_mask(self, radius: float, mask: np.ndarray):
         """The compacted CSR for an *explicit* alive mask at ``radius``.
@@ -342,25 +333,15 @@ class MutableDataset:
         The deferred half of lazy cache migration: a migrated bucket
         captures the post-batch alive mask at mutation time and resolves
         here on first read.  If the dataset has mutated again since, the
-        pinned mask still reproduces that version's adjacency exactly —
-        edges are geometric facts, appends only ever add edges incident
-        to ids the pinned mask marks dead, and the mask filter removes
-        them — so a reader holding an older version-stamped handle never
-        observes a newer version's graph.
+        pinned mask (shorter than the current one when inserts followed)
+        still reproduces that version's adjacency exactly — edges are
+        geometric facts, appends only ever add edges incident to ids the
+        pinned mask marks dead or does not cover, and the mask filter
+        removes them — so a reader holding an older version-stamped
+        handle never observes a newer version's graph.
         """
-        mask = np.asarray(mask, dtype=bool)
         with self._lock:
-            # Alive masks are unique per version (dead ids stay dead,
-            # inserts extend the mask), so mask equality means "current
-            # version": serve the shared per-version snapshot.
-            if mask.shape[0] == self._alive.shape[0] and np.array_equal(
-                mask, self._alive
-            ):
-                return self.adjacency_snapshot(radius)[0]
-            adjacency = self.ensure_adjacency(radius)
-            padded = np.zeros(adjacency.n, dtype=bool)
-            padded[: mask.shape[0]] = mask
-            return adjacency.snapshot_csr(padded)
+            return self.ensure_adjacency(radius).snapshot_csr(mask)
 
     def tracked_buckets(self) -> List[float]:
         """Radius buckets with a live incremental adjacency."""

@@ -330,8 +330,7 @@ def _run_supervised_phase(
     drain_wait_s: float = 10.0,
     use_shm: bool = True,
     heartbeat_s: float = 0.1,
-    kill_delay_s: Optional[float] = None,
-    kill_worker_index: int = 0,
+    crash_worker: Optional[int] = None,
     expect_restarts: int = 0,
     trace_log: Optional[str] = None,
 ) -> dict:
@@ -340,16 +339,21 @@ def _run_supervised_phase(
     Same client trace as :func:`_run_phase`, but the server side is a
     :func:`~repro.service.supervisor.start_supervised` pool: the front
     owns the public port, workers are separate processes sharing
-    adjacency through ``/dev/shm``.  With ``kill_delay_s`` set, a chaos
-    thread SIGKILLs worker ``kill_worker_index`` that many seconds into
-    the trace (and the phase waits for ``expect_restarts`` supervisor
-    restarts before reading its evidence).  After shutdown the phase
-    records what a leak *would* look like: any segment of the run still
-    linked after the store's own sweep.
+    adjacency through ``/dev/shm``.  With ``crash_worker`` set, that
+    worker SIGKILLs itself on the first request it is sent (the
+    ``worker_crash`` fault, so the request is provably in flight and
+    the front must replay it; its restart is not armed), and the phase
+    waits for ``expect_restarts`` supervisor restarts before reading
+    its evidence.  After shutdown the phase records what a leak *would*
+    look like: any segment of the run still linked after the store's
+    own sweep.
     """
     from repro.service import shm as shm_mod
     from repro.service.supervisor import start_supervised
 
+    if crash_worker is not None:
+        crash = {"seed": 0, "worker_crash_rate": 1.0, "worker_crash_limit": 1}
+        faults = [crash if k == crash_worker else None for k in range(workers)]
     cluster = start_supervised(
         [workload],
         workers,
@@ -389,28 +393,18 @@ def _run_supervised_phase(
             )
             for i in range(clients)
         ]
-        killer = None
-        if kill_delay_s is not None:
-
-            def _kill() -> None:
-                time.sleep(kill_delay_s)
-                try:
-                    killed["pid"] = cluster.kill_worker(kill_worker_index)
-                    killed["at_s"] = round(time.perf_counter() - t0, 3)
-                except Exception as exc:  # pragma: no cover - surfacing
-                    killed["error"] = repr(exc)
-
-            killer = threading.Thread(target=_kill, daemon=True)
+        if crash_worker is not None:
+            slot = cluster.supervisor.slots[crash_worker]
+            killed["worker"] = crash_worker
+            killed["pid"] = slot.process.pid
+            # Restarts spawn from the slot's config: arm only this one.
+            slot.config = {**slot.config, "faults": None}
         t0 = time.perf_counter()
         for thread in client_threads:
             thread.start()
-        if killer is not None:
-            killer.start()
         for thread in client_threads:
             thread.join()
         duration = time.perf_counter() - t0
-        if killer is not None:
-            killer.join(timeout=10)
         if errors:
             raise errors[0]
         probe_retry = RetryPolicy(
@@ -1095,16 +1089,18 @@ def run_kill9_trace(
     clients: int = 4,
     workers: int = 2,
     pattern: Optional[List[float]] = None,
-    kill_delay_s: float = 0.3,
     kill_worker_index: int = 0,
     drain_wait_s: float = 10.0,
 ) -> dict:
     """SIGKILL a worker mid-trace; the clients must never notice.
 
     The hardest supervised-serving scenario: a ``kill -9`` lands on a
-    worker while the zoom trace is in flight.  The front detects the
-    vanished connections, replays the affected requests on the
-    surviving workers, the heartbeat restarts the corpse, and shutdown
+    worker while the zoom trace is in flight.  Worker
+    ``kill_worker_index`` kills itself on the first request it is sent
+    (the ``worker_crash`` fault at dispatch), so the kill always lands
+    on an in-flight request, however fast the host runs the trace.  The
+    front detects the vanished connection, replays the request on a
+    surviving worker, the supervisor restarts the corpse, and shutdown
     sweeps every shared-memory segment.  The payload reports:
 
     * ``failures`` — non-200 outcomes (must be 0: a crash shows up as
@@ -1136,8 +1132,7 @@ def run_kill9_trace(
             engine_payload=engine_payload,
             workers=workers,
             mode="kill9",
-            kill_delay_s=kill_delay_s,
-            kill_worker_index=kill_worker_index,
+            crash_worker=kill_worker_index,
             expect_restarts=1,
             drain_wait_s=drain_wait_s,
             trace_log=trace_log,

@@ -333,13 +333,18 @@ class TestIncrementalChurnProperty:
         deadline=None, max_examples=30, suppress_health_check=[HealthCheck.too_slow]
     )
     def test_snapshots_and_rows_match_fresh_builds(self, seed, batches):
+        """Snapshots taken after a random subset of batches (so the
+        origin they advance from is 0..k batches old) and older
+        versions' masks resolved after newer snapshots all equal a
+        fresh build; an older mask never moves the origin back."""
         rng = np.random.default_rng(seed)
         centers = rng.random((3, 2))
         points = _clustered(rng, centers, 200)
         incremental = IncrementalNeighborhood(points, EUCLIDEAN, CHURN_RADIUS)
         assert incremental.resolution == 4
         alive = np.ones(points.shape[0], dtype=bool)
-        for inserts, deletes in batches:
+        history = [alive.copy()]  # every version's mask, at its length
+        for step, (inserts, deletes) in enumerate(batches):
             if inserts:
                 batch = _clustered(rng, centers, inserts, outlier_rate=0.1)
                 points = np.concatenate([points, batch])
@@ -351,16 +356,64 @@ class TestIncrementalChurnProperty:
             elif deletes == "some" and live_ids.size:
                 size = int(rng.integers(1, live_ids.size // 4 + 2))
                 alive[rng.choice(live_ids, size=size, replace=False)] = False
-
-            snap = incremental.snapshot_csr(alive)
-            fresh = build_csr_pairwise(points[alive], EUCLIDEAN, CHURN_RADIUS)
-            assert snap.indptr.dtype == fresh.indptr.dtype
-            assert snap.indices.dtype == fresh.indices.dtype
-            np.testing.assert_array_equal(snap.indptr, fresh.indptr)
-            np.testing.assert_array_equal(snap.indices, fresh.indices)
+            history.append(alive.copy())
             # row() is the uncompacted view: every neighbor, dead or not.
             full = build_csr_pairwise(points, EUCLIDEAN, CHURN_RADIUS)
             for i in range(points.shape[0]):
                 row = incremental.row(i)
                 assert row.dtype == np.int32
                 np.testing.assert_array_equal(row, full.neighbors(i))
+            if step < len(batches) - 1 and rng.random() < 0.5:
+                continue  # no read at this version: the origin ages
+
+            snap = incremental.snapshot_csr(alive)
+            self._assert_fresh(snap, points, alive)
+            assert incremental.snapshot_csr(alive) is snap
+            older = history[int(rng.integers(0, len(history)))]
+            self._assert_fresh(
+                incremental.snapshot_csr(older), points[: older.size], older
+            )
+            # The older mask left the origin at this version.
+            assert incremental.snapshot_csr(alive) is snap
+
+    @staticmethod
+    def _assert_fresh(snap, points, alive):
+        fresh = build_csr_pairwise(points[alive], EUCLIDEAN, CHURN_RADIUS)
+        assert snap.indptr.dtype == fresh.indptr.dtype
+        assert snap.indices.dtype == fresh.indices.dtype
+        np.testing.assert_array_equal(snap.indptr, fresh.indptr)
+        np.testing.assert_array_equal(snap.indices, fresh.indices)
+
+    def test_snapshot_transient_memory_stays_below_twice_the_result(self):
+        """One snapshot's peak allocation stays under 2x its output.
+
+        n=20k clustered at r=0.05, three 1% insert+delete batches after
+        the last snapshot: advancing in row batches keeps the transient
+        arrays small next to the result (about 1.4x measured), where
+        whole-array filter passes peaked at 2.4x and more.
+        """
+        import tracemalloc
+
+        from repro.datasets import clustered_dataset
+
+        rng = np.random.default_rng(7)
+        points = clustered_dataset(n=20_000, seed=42).points
+        incremental = IncrementalNeighborhood(points, EUCLIDEAN, 0.05)
+        alive = np.ones(points.shape[0], dtype=bool)
+        incremental.snapshot_csr(alive)
+        for _ in range(3):
+            batch = points[rng.integers(0, 20_000, 200)]
+            batch = batch + rng.normal(0.0, 0.002, batch.shape)
+            points = np.concatenate([points, batch])
+            incremental.append(points, 200)
+            alive = np.concatenate([alive, np.ones(200, dtype=bool)])
+            victims = rng.choice(np.flatnonzero(alive), size=200, replace=False)
+            alive[victims] = False
+        tracemalloc.start()
+        try:
+            snap = incremental.snapshot_csr(alive)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert snap.n == int(alive.sum())
+        assert peak < 2 * (snap.indptr.nbytes + snap.indices.nbytes)
