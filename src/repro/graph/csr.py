@@ -447,57 +447,65 @@ def _classify_offsets(metric, radius: float, cell: float, dim: int, resolution: 
     return np.asarray(kept, dtype=np.int64), np.asarray(classes, dtype=np.int64)
 
 
+def _cell_finder(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """``(members, ptr, find)``: cell ``c`` holds the rows
+    ``members[ptr[c]:ptr[c+1]]`` of the integer ``keys`` (cells in lex
+    order), and ``find(queries)`` gives each query key's cell, -1 where
+    none.  Keys lie in the box ``[lo, hi]`` and fuse into one int64 each
+    (monotone in lex order), so one argsort groups and one
+    ``searchsorted`` finds; a box too large to fuse uses a dict."""
+    spans = (np.asarray(hi) - lo + 1).astype(np.int64)
+    if np.log2(spans.astype(float)).sum() > 62:  # pragma: no cover - extreme key ranges only
+        members, ptr = _cell_members(keys)
+        ukeys = keys[members[ptr[:-1]]].tolist()
+        lookup = {tuple(key): c for c, key in enumerate(ukeys)}
+
+        def find(queries: np.ndarray) -> np.ndarray:
+            flat = queries.reshape(-1, queries.shape[-1]).tolist()
+            cells = [lookup.get(tuple(key), -1) for key in flat]
+            return np.asarray(cells, dtype=np.int64).reshape(queries.shape[:-1])
+
+        return members, ptr, find
+
+    def fuse(keys: np.ndarray) -> np.ndarray:
+        out = np.zeros(keys.shape[:-1], dtype=np.int64)
+        for j in range(spans.size):  # repro-lint: disable=checkpoint-in-hot-loop -- loops over key dimensionality, not data
+            out = out * spans[j] + (keys[..., j] - lo[j])
+        return out
+
+    fused = fuse(keys)
+    members = np.argsort(fused)
+    fused = fused[members]
+    ptr = np.concatenate(([0], np.flatnonzero(np.diff(fused)) + 1, [fused.size]))
+    fused = fused[ptr[:-1]]
+
+    def find(queries: np.ndarray) -> np.ndarray:
+        target = fuse(queries)
+        pos = np.minimum(np.searchsorted(fused, target), fused.size - 1)
+        return np.where(fused[pos] == target, pos, -1)
+
+    return members, ptr, find
+
+
 def _cell_pair_table(ukeys: np.ndarray, offsets: np.ndarray, classes: np.ndarray):
     """All occupied (source cell, neighbor cell) pairs per kept offset.
 
     Returns ``(src, dst, cls)`` parallel arrays of cell indices sorted
-    by source cell.  Cell keys are fused into one scalar per cell so
-    each offset resolves through a single vectorised ``searchsorted``;
-    when the key ranges would overflow the int64 fusion (extreme spans
-    in high dimensions) a dict lookup covers the same ground.
+    by source cell; each offset resolves through one
+    :func:`_cell_finder` lookup over every cell.
     """
-    m, dim = ukeys.shape
-    kmin = ukeys.min(axis=0)
-    # Digit headroom must cover the largest offset magnitude on both
-    # sides, else out-of-range digits alias neighboring cells when a
-    # dimension's key span is small (e.g. thin-strip data).
-    reach = int(np.abs(offsets).max()) if offsets.size else 1
-    shifted = ukeys - kmin + reach + 1
-    spans = shifted.max(axis=0) + 2 * (reach + 1)
+    reach = int(np.abs(offsets).max()) if offsets.size else 0
+    lo, hi = ukeys.min(axis=0) - reach, ukeys.max(axis=0) + reach
+    _, _, find = _cell_finder(ukeys, lo, hi)
     src_acc: List[np.ndarray] = []
     dst_acc: List[np.ndarray] = []
     cls_acc: List[np.ndarray] = []
-    if np.log2(spans.astype(float)).sum() <= 62:
-
-        def fuse(keys: np.ndarray) -> np.ndarray:
-            out = np.zeros(keys.shape[0], dtype=np.int64)
-            for j in range(dim):  # repro-lint: disable=checkpoint-in-hot-loop -- loops over key dimensionality, not data
-                out = out * spans[j] + (keys[:, j] - kmin[j] + reach + 1)
-            return out
-
-        fused = fuse(ukeys)  # ascending: ukeys arrive in lex order
-        for off, cls in zip(offsets, classes):
-            target = fuse(ukeys + off)
-            pos = np.searchsorted(fused, target)
-            pos_clipped = np.minimum(pos, m - 1)
-            hit = fused[pos_clipped] == target
-            src = np.flatnonzero(hit)
-            src_acc.append(src)
-            dst_acc.append(pos_clipped[hit])
-            cls_acc.append(np.full(src.size, cls, dtype=np.int64))
-    else:  # pragma: no cover - extreme key ranges only
-        lookup = {tuple(key): i for i, key in enumerate(ukeys)}
-        for off, cls in zip(offsets, classes):
-            pairs = [
-                (i, lookup[tuple(key)])
-                for i, key in enumerate(ukeys + off)
-                if tuple(key) in lookup
-            ]
-            src = np.asarray([p[0] for p in pairs], dtype=np.int64)
-            dst = np.asarray([p[1] for p in pairs], dtype=np.int64)
-            src_acc.append(src)
-            dst_acc.append(dst)
-            cls_acc.append(np.full(src.size, cls, dtype=np.int64))
+    for off, cls in zip(offsets, classes):
+        dst = find(ukeys + off)
+        src = np.flatnonzero(dst >= 0)
+        src_acc.append(src)
+        dst_acc.append(dst[src])
+        cls_acc.append(np.full(src.size, cls, dtype=np.int64))
     src = np.concatenate(src_acc)
     dst = np.concatenate(dst_acc)
     cls = np.concatenate(cls_acc)
@@ -593,6 +601,14 @@ def _batch_pair_bytes(dim: int) -> int:
     return 64 * (dim + 2)
 
 
+def _row_batches(row_len: np.ndarray, dim: int) -> np.ndarray:
+    """Cut points grouping whole rows of ``row_len`` candidate pairs into
+    batches of about ``DEFAULT_BLOCK_BYTES // _batch_pair_bytes(dim)``."""
+    batch_pairs = max(1, DEFAULT_BLOCK_BYTES // _batch_pair_bytes(dim))
+    batch_of = (np.cumsum(row_len) - row_len) // batch_pairs
+    return np.concatenate(([0], np.flatnonzero(np.diff(batch_of)) + 1, [row_len.size]))
+
+
 def _candidate_table(plan: _GridPlan, cell_of: np.ndarray, pair_keep):
     """Every source cell's candidates as one flat id-ascending table.
 
@@ -667,14 +683,11 @@ def _assemble_grid_csr(
         plan, cell_of, pair_keep
     )
     row_len = np.diff(seg_ptr)[cell_of]
-    row_end = np.cumsum(row_len)
-    batch_pairs = max(1, DEFAULT_BLOCK_BYTES // _batch_pair_bytes(plan.dim))
-    batch_of = (row_end - row_len) // batch_pairs
-    cuts = np.concatenate(([0], np.flatnonzero(np.diff(batch_of)) + 1, [n]))
+    cuts = _row_batches(row_len, plan.dim)
     # An upper bound on nnz (every candidate an edge); the untouched
     # tail is never paged in and is released by the final shrink.
     self_count = int(np.count_nonzero(self_off >= 0))
-    indices = np.empty(int(row_end[-1]) - self_count, dtype=np.int32)
+    indices = np.empty(int(row_len.sum()) - self_count, dtype=np.int32)
     indptr = np.zeros(n + 1, dtype=np.int64)
     degrees = indptr[1:]
     filled = 0

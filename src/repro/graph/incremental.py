@@ -7,45 +7,44 @@ layer keeps selling selections against the current version, and a full
 rebuild per mutation batch would charge every request O(build) for a
 delta that touched a handful of grid cells.
 
-:class:`IncrementalNeighborhood` retains the grid plan of the initial
-build — origin, cell edge, offset classification — and keeps the
-adjacency as two flat CSR levels over global ids:
+:class:`IncrementalNeighborhood` fixes a grid plan at construction —
+origin, cell edge, offset classification — and keeps three things:
 
-* **base** — the initial build, rows ``0..n0-1``, never modified;
-* **overlay** — every edge an append added since, one ``indptr`` over
-  all ``n`` ids plus ``int32`` ``indices``.
+* **the directory** — the integer cell key of every global id, extended
+  by each append; the whole index a radius query needs;
+* **the origin** — the last full-length snapshot ``(alive mask,
+  compacted CSR)``, at first a grid build over the alive points;
+* **the overlay** — only the edges added since the origin, one CSR over
+  all ``n`` global ids; a new origin empties it.
 
-A row is (base slice) + (overlay slice), already ascending: a base row
-holds only ids below ``n0`` and the overlay only ids that arrived
-later, and within the overlay every batch's ids exceed every earlier
-batch's, so each merge appends a row's new entries after its old ones.
+**Query** (:meth:`_query`): the edges from some ids to the ids an alive
+mask marks.  The marked ids inside the query's key box (widened by the
+offsets' reach) are grouped by cell, and every query key plus kept
+offset is joined against those cells with one ``searchsorted``
+(:func:`~repro.graph.csr._cell_finder`, shared with the grid build).
+The hit cells expand with :func:`~repro.graph.csr._flat_row_positions`;
+auto-class pairs are edges outright, compute-class pairs pass one
+``metric.paired`` test per batch of candidate pairs.
 
-* **append**: new points are binned with the *original* origin/cell
-  (keys may go negative; the cell directory is keyed by tuple, so the
-  lattice extends for free).  Each batch emits edges only against the
-  occupied cells within reach of the touched cells, reusing the
-  :func:`~repro.graph.csr._classify_offsets` bound classes — provably
-  in-radius cell pairs contribute edges *without computing a distance*,
-  boundary pairs fall back to one vectorised ``metric.pairwise`` block.
-  The batch's forward and reverse edges are sorted once by (row, col)
-  and inserted at their rows' ends in one pass.  Cost is the touched
-  cells' neighborhoods plus one linear copy of the overlay.
-* **delete**: a deletion is an alive-mask concern, not a structural
-  one — edges are geometric facts about points, so nothing is unlinked
-  and :meth:`row` still lists dead neighbors.  Compaction drops them.
+* **append**: the new ids join the directory and one query links them
+  to the ids the caller's mask marks (batch-mates included).  Forward
+  and reverse entries are sorted once by (row, col) and inserted at
+  their rows' ends: every batch id exceeds every id the overlay holds,
+  so rows stay ascending.  Edges to dead ids are never stored — no mask
+  covering the new ids marks them alive.  Once the overlay plus twice
+  the origin's dead entries outgrow the origin (a bucket nobody reads),
+  append advances the origin: the state stays within twice its live part.
+* **delete**: an alive-mask concern; compaction and :meth:`rows` filter.
 
-Compaction (:meth:`snapshot_csr`) advances from an *origin*: the last
-snapshot produced, kept as ``(alive mask, compacted CSR, per-row
-overlay length)`` — at first the base with every id alive.  Dead ids
-never revive, so each newer mask is a forward step: remap the origin's
-local ids through the new lookup (one gather), drop the newly dead rows
-and columns (one compress), and append to each row its overlay *tail*,
-the entries past the recorded length — the edges added since, already
-at the row's end.  Ids inserted since have only a tail.  The cost is
-the origin's edges plus the delta, not every edge ever built, and rows
-go in batches of about a million entries into one preallocated output.
-An older mask (a reader pinned to an earlier version) advances from the
-base instead and leaves the origin alone.
+Compaction (:meth:`snapshot_csr`) advances from the origin.  Dead ids
+never revive, so a newer mask is a forward step: remap the origin's
+local ids through the new lookup, drop the newly dead rows and columns,
+and append each row's overlay entries (all later ids).  The cost is the
+origin's edges plus the delta, in row batches of about a million
+entries.  A mask marking alive an id the origin marks dead belongs to a
+reader pinned before the origin, which cannot answer it: it gets a
+fresh grid build over its alive points, counted in
+``stale_mask_rebuilds``.
 
 The edge set is *identical* to a fresh
 :func:`~repro.graph.csr.build_csr_grid` /
@@ -60,7 +59,7 @@ gate on the metric family.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -68,11 +67,13 @@ from repro.cancellation import current_token
 from repro.graph.csr import (
     CSRNeighborhood,
     _assemble_grid_csr,
+    _cell_finder,
     _classify_offsets,
+    _flat_row_positions,
     _PAIR_AUTO,
     _plan_grid,
-    group_points_by_cell,
-    pairwise_row_chunk,
+    _row_batches,
+    build_csr_grid,
 )
 from repro.validation import validate_radius
 
@@ -99,13 +100,16 @@ class IncrementalNeighborhood:
     """Fixed-radius adjacency over a growing point set with tombstones.
 
     ``points`` is the full (alive + dead) coordinate array at
-    construction; ids are arrival positions and never change.  The
-    structure keeps a *reference* to the caller's current full array
-    via :meth:`append` (the live dataset owns the coordinates; this
-    class owns the adjacency and the cell directory).
+    construction and ``alive`` its alive mask (default: every id); ids
+    are arrival positions and never change.  The structure keeps a
+    *reference* to the caller's current full array via :meth:`append`
+    (the live dataset owns the coordinates; this class owns the
+    adjacency and the cell directory).
     """
 
-    def __init__(self, points: np.ndarray, metric, radius: float) -> None:
+    def __init__(
+        self, points, metric, radius: float, alive: Optional[np.ndarray] = None
+    ) -> None:
         radius = validate_radius(radius)
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
@@ -115,85 +119,169 @@ class IncrementalNeighborhood:
         self.n = int(points.shape[0])
         self.dim = int(points.shape[1])
         self._points = points
-        #: Appends since construction as a CSR over all ``n`` global
-        #: ids; every row ascending, every id later than the row's base
-        #: neighbors.
-        self._overlay_indptr = np.zeros(self.n + 1, dtype=np.int64)
-        self._overlay_indices = np.empty(0, dtype=np.int32)
-
-        if self.n:
-            plan = _plan_grid(points, metric, radius, None)
+        #: Non-forward masks answered by a fresh build (see module doc).
+        self.stale_mask_rebuilds = 0
+        alive = np.ones(self.n, bool) if alive is None else np.asarray(alive, bool)
+        kept = points[alive]
+        if kept.shape[0]:
+            plan = _plan_grid(kept, metric, radius, None)
             self.cell = plan.cell
             self.resolution = plan.resolution
+            origin = _assemble_grid_csr(kept, metric, radius, plan)
         else:
             self.resolution = 1
             self.cell = float(radius) if radius > 0 else 1.0
-        # The origin is pinned forever: later points may bin to negative
-        # keys, which the tuple-keyed directory handles transparently.
-        self._origin = (
-            points.min(axis=0) if self.n else np.zeros(self.dim, dtype=float)
-        )
+            origin = CSRNeighborhood.empty()
+        # The grid origin is pinned forever: later points may bin to
+        # negative keys, which the directory handles transparently.
+        self._origin = points.min(axis=0) if self.n else np.zeros(self.dim)
         self._offsets, self._classes = _classify_offsets(
             metric, radius, self.cell, self.dim, self.resolution
         )
-        #: Occupied cell -> member ids (ascending).
-        self._cells: Dict[Tuple[int, ...], np.ndarray] = {}
-        if self.n:
-            members = plan.members.astype(np.int32)
-            token = current_token()
-            for i, key in enumerate(plan.ukeys.tolist()):
-                if token is not None and i % 64 == 0:
-                    token.checkpoint()
-                self._cells[tuple(key)] = members[
-                    plan.member_ptr[i] : plan.member_ptr[i + 1]
-                ]
-            self._base = _assemble_grid_csr(points, metric, radius, plan)
-        else:
-            self._base = CSRNeighborhood.empty()
-        #: The snapshot origin ``(alive mask, compacted CSR, per-row
-        #: overlay length)``: the last forward snapshot, at first the base.
-        n0 = self._base.n
-        self._first = (np.ones(n0, bool), self._base, np.zeros(n0, np.int64))
-        self._last = self._first
+        self._reach = int(np.abs(self._offsets).max())
+        #: Cell key of every global id (the directory).
+        self._keys = self._cell_keys(points)
+        self._install(alive.copy(), origin)
+
+    def _cell_keys(self, points: np.ndarray) -> np.ndarray:
+        return np.floor((points - self._origin) / self.cell).astype(np.int64)
+
+    def _install(self, mask: np.ndarray, csr: CSRNeighborhood) -> None:
+        """Make ``(mask, csr)`` the origin; the overlay starts empty."""
+        self._last = (mask, csr)
+        #: Ids linked by every append since the origin (see rows()).
+        self._linked = mask
+        #: Origin entries incident to ids dead since (an upper bound).
+        self._dead = 0
+        self._overlay_indptr = np.zeros(self.n + 1, dtype=np.int64)
+        self._overlay_indices = np.empty(0, dtype=np.int32)
+
+    def _forward(self, alive: np.ndarray) -> bool:
+        """No id alive in ``alive`` is dead in the origin."""
+        size = min(alive.size, self._last[0].size)
+        return not np.any(alive[:size] > self._last[0][:size])
 
     # ------------------------------------------------------------------
     @property
-    def nnz(self) -> int:
-        """Directed adjacency entries, base plus overlay."""
-        return self._base.nnz + int(self._overlay_indptr[-1])
-
-    @property
     def nbytes(self) -> int:
-        """Resident footprint of the four CSR arrays (O(1))."""
-        return int(
-            self._base.nbytes
-            + self._overlay_indptr.nbytes
-            + self._overlay_indices.nbytes
-        )
+        """Resident footprint of the origin and overlay CSR arrays (O(1))."""
+        overlay = self._overlay_indptr.nbytes + self._overlay_indices.nbytes
+        return int(self._last[1].nbytes + overlay)
 
-    def row(self, object_id: int) -> np.ndarray:
-        """All neighbor ids of ``object_id`` (ascending, alive or not)."""
-        object_id = int(object_id)
-        ptr = self._overlay_indptr
-        overlay = self._overlay_indices[ptr[object_id] : ptr[object_id + 1]]
-        if object_id >= self._base.n:
-            return overlay
-        base = self._base.neighbors(object_id)
-        if overlay.size == 0:
-            return base
-        return np.concatenate([base, overlay])
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
+    def _query(self, ids, alive: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Neighbours of ``ids`` among the ids ``alive`` marks, self
+        excluded: ``(indptr, indices)`` with one ascending ``int32`` row
+        per id (see the module doc)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        indptr = np.zeros(ids.size + 1, dtype=np.int64)
+        if ids.size == 0:
+            return indptr, np.empty(0, dtype=np.int32)
+        query = self._keys[ids]
+        lo = query.min(axis=0) - self._reach
+        hi = query.max(axis=0) + self._reach
+        inside = alive.copy()
+        for j in range(self.dim):  # repro-lint: disable=checkpoint-in-hot-loop -- loops over key dimensionality, not data
+            column = self._keys[: alive.size, j]
+            inside &= (column >= lo[j]) & (column <= hi[j])
+        candidates = np.flatnonzero(inside)
+        if candidates.size == 0:
+            return indptr, np.empty(0, dtype=np.int32)
+        keys = np.take(self._keys, candidates, axis=0)
+        members, member_ptr, find = _cell_finder(keys, lo, hi)
+        members = candidates[members]
+        cells = find(query[:, None, :] + self._offsets)
+        hit_rows, hit_offsets = np.nonzero(cells >= 0)
+        cells = cells[hit_rows, hit_offsets]
+        auto = self._classes[hit_offsets] == _PAIR_AUTO
+        row_len = np.bincount(hit_rows, np.diff(member_ptr)[cells], ids.size)
+        cuts = _row_batches(row_len.astype(np.int64), self.dim)
+        hit_cuts = np.searchsorted(hit_rows, cuts)
+        parts = []
+        token = current_token()
+        for h0, h1 in zip(hit_cuts[:-1].tolist(), hit_cuts[1:].tolist()):
+            if token is not None:
+                token.checkpoint()
+            positions, lengths = _flat_row_positions(member_ptr, cells[h0:h1])
+            cols = np.take(members, positions)
+            at = np.repeat(hit_rows[h0:h1], lengths)
+            src = np.take(ids, at)
+            keep = np.repeat(auto[h0:h1], lengths)
+            compute = np.flatnonzero(~keep)
+            if compute.size:
+                keep[compute] = self.metric.paired(
+                    np.take(self._points, np.take(src, compute), axis=0),
+                    np.take(self._points, np.take(cols, compute), axis=0),
+                ) <= self.radius
+            keep &= cols != src
+            # One sort per batch on the fused (row, col) key: batches
+            # cover consecutive rows, so the parts concatenate sorted.
+            fused = np.compress(keep, at) * np.int64(self.n)
+            fused += np.compress(keep, cols)
+            fused.sort()
+            parts.append(fused)
+        at, cols = np.divmod(np.concatenate(parts), self.n)
+        np.cumsum(np.bincount(at, minlength=ids.size), out=indptr[1:])
+        return indptr, cols.astype(np.int32)
+
+    def rows(self, ids, alive: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``alive`` neighbours (a mask over every id) of each of
+        ``ids``, dead or not: ``(indptr, indices)``, ascending int32 rows.
+
+        Ids linked by every append since the origin read the origin row,
+        then the overlay row, in one gather.  Others — a batch's deleted
+        blacks after a snapshot at its version, ids deleted before the
+        last append — go through :meth:`_query`."""
+        ids = np.asarray(ids, dtype=np.int64)
+        alive = np.asarray(alive, dtype=bool)
+        mask, csr = self._last
+        at = np.arange(ids.size, dtype=np.int64)
+        stored = self._linked[ids]
+        if not self._forward(alive):
+            stored[:] = False  # the origin misses edges to ids it marks dead
+        origin_ids = np.flatnonzero(mask)
+        held = stored & (ids < mask.size)
+        local = np.searchsorted(origin_ids, ids[held])
+        positions, origin_len = _flat_row_positions(csr.indptr, local)
+        origin_cols = np.take(origin_ids, np.take(csr.indices, positions))
+        positions, overlay_len = _flat_row_positions(
+            self._overlay_indptr, ids[stored]
+        )
+        overlay_cols = np.take(self._overlay_indices, positions)
+        query_ptr, query_cols = self._query(ids[~stored], alive)
+        # Each part is grouped by request row; a stable sort on the row
+        # merges the three runs, keeping origin before overlay.
+        row_of = np.concatenate((
+            np.repeat(at[held], origin_len),
+            np.repeat(at[stored], overlay_len),
+            np.repeat(at[~stored], np.diff(query_ptr)),
+        ))
+        cols = np.concatenate((origin_cols, overlay_cols, query_cols))
+        keep = np.take(alive, cols)
+        row_of = np.compress(keep, row_of)
+        order = np.argsort(row_of, kind="stable")
+        indptr = np.zeros(ids.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_of, minlength=ids.size), out=indptr[1:])
+        return indptr, np.compress(keep, cols)[order].astype(np.int32)
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def append(self, points: np.ndarray, count: int) -> np.ndarray:
+    def append(
+        self, points: np.ndarray, count: int, alive: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Admit the ``count`` newest rows of ``points`` into the graph.
 
         ``points`` is the live dataset's *full* coordinate array after
         the mutation (the new rows are its tail); the reference replaces
-        the one held so far.  Returns the new ids.  Cost: candidate
-        gathering over the cells within reach of the touched cells, plus
-        one linear merge of the batch's edges into the overlay.
+        the one held so far.  The new ids are linked only to the ids
+        ``alive`` marks (``None``: every id) — the dataset passes its
+        mask after the inserts and before the batch's deletes.  Returns
+        the new ids.  Cost: one :meth:`_query` for the batch plus one
+        linear merge into the overlay, which holds only the edges since
+        the origin.
         """
         points = np.asarray(points, dtype=float)
         if points.shape[0] != self.n + count or points.shape[1] != self.dim:
@@ -207,86 +295,21 @@ class IncrementalNeighborhood:
         new_ids = np.arange(start, start + count, dtype=np.int32)
         if count == 0:
             return new_ids
-        new_points = points[start:]
-        keys = np.floor((new_points - self._origin) / self.cell).astype(np.int64)
-        groups = group_points_by_cell(keys)
-        # Register the batch in the cell directory first, so batch-mates
-        # in reach of each other are candidates like anyone else.  Batch
-        # ids exceed every registered id, so cells stay ascending.
-        token = current_token()
-        for i, group in enumerate(groups):
-            if token is not None and i % 64 == 0:
-                token.checkpoint()
-            key = tuple(keys[group[0]].tolist())
-            ids = (group + start).astype(np.int32)
-            known = self._cells.get(key)
-            self._cells[key] = ids if known is None else np.concatenate([known, ids])
-
-        auto = (self._classes == _PAIR_AUTO).tolist()
-        sources: List[np.ndarray] = []
-        targets: List[np.ndarray] = []
-        for i, group in enumerate(groups):
-            if token is not None and i % 16 == 0:
-                token.checkpoint()
-            reach = (keys[group[0]] + self._offsets).tolist()
-            cells: List[np.ndarray] = []
-            auto_flags: List[bool] = []
-            for key, is_auto in zip(reach, auto):
-                cell = self._cells.get(tuple(key))
-                if cell is not None:
-                    cells.append(cell)
-                    auto_flags.append(is_auto)
-            candidates = np.concatenate(cells).astype(np.int64)
-            auto_mask = np.repeat(auto_flags, [cell.size for cell in cells])
-            order = np.argsort(candidates)
-            src, dst = self._group_edges(
-                group + start, candidates[order], auto_mask[order]
-            )
-            sources.append(src)
-            targets.append(dst)
-        self._merge_overlay(sources, targets, start)
+        self._keys = np.concatenate((self._keys, self._cell_keys(points[start:])))
+        alive = np.ones(self.n, bool) if alive is None else np.asarray(alive, bool)
+        indptr, cols = self._query(new_ids, alive)
+        mask, csr = self._last
+        died = self._linked[: mask.size] & ~alive[: mask.size]
+        self._dead += 2 * int(np.diff(csr.indptr)[died[mask]].sum())
+        self._linked = np.concatenate((self._linked, np.ones(count, bool))) & alive
+        self._merge_overlay(np.repeat(new_ids, np.diff(indptr)), cols, start)
+        # Origin + overlay stay within twice the origin's live entries.
+        if self._overlay_indptr[-1] + 2 * self._dead > csr.nnz and self._forward(alive):
+            self.snapshot_csr(alive)
         return new_ids
 
-    def _group_edges(
-        self,
-        members: np.ndarray,
-        candidates: np.ndarray,
-        auto_mask: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Forward edges ``(member, neighbor)`` of one touched cell.
-
-        ``candidates`` is ascending with ``auto_mask`` flagging the
-        columns whose cell pair is provably within the radius.
-        """
-        compute_idx = np.flatnonzero(~auto_mask)
-        compute_points = self._points[candidates[compute_idx]]
-        chunk = pairwise_row_chunk(max(1, candidates.size), self.dim)
-        src_parts: List[np.ndarray] = []
-        dst_parts: List[np.ndarray] = []
-        for s in range(0, members.size, chunk):  # repro-lint: disable=checkpoint-in-hot-loop -- one block per iteration is bounded work; the caller's group loop checkpoints
-            sub = members[s : s + chunk]
-            hits = np.empty((sub.size, candidates.size), dtype=bool)
-            hits[:] = auto_mask
-            if compute_idx.size:
-                block = self.metric.pairwise(
-                    self._points[sub], compute_points
-                )
-                hits[:, compute_idx] = block <= self.radius
-            # Mask each member's own entry (distance zero, or an auto
-            # column when the self cell-pair is provably dense).
-            self_pos = np.searchsorted(candidates, sub)
-            in_range = self_pos < candidates.size
-            rows_ok = np.flatnonzero(in_range)
-            rows_ok = rows_ok[candidates[self_pos[rows_ok]] == sub[rows_ok]]
-            hits[rows_ok, self_pos[rows_ok]] = False
-
-            local_rows, local_cols = np.nonzero(hits)
-            src_parts.append(sub[local_rows])
-            dst_parts.append(candidates[local_cols])
-        return np.concatenate(src_parts), np.concatenate(dst_parts)
-
     def _merge_overlay(
-        self, sources: List[np.ndarray], targets: List[np.ndarray], batch_start: int
+        self, fwd_src: np.ndarray, fwd_dst: np.ndarray, batch_start: int
     ) -> None:
         """Fold one batch's forward edges into the overlay CSR.
 
@@ -297,10 +320,8 @@ class IncrementalNeighborhood:
         row's existing entries — every batch id exceeds every id the
         overlay already holds, so rows stay ascending.
         """
-        fwd_src = np.concatenate(sources)
-        fwd_dst = np.concatenate(targets)
         old = fwd_dst < batch_start
-        src = np.concatenate([fwd_src, fwd_dst[old]])
+        src = np.concatenate([fwd_src, fwd_dst[old]]).astype(np.int64)
         dst = np.concatenate([fwd_dst, fwd_src[old]])
         order = np.argsort(src * np.int64(self.n) + dst)
         src, dst = src[order], dst[order]
@@ -331,43 +352,43 @@ class IncrementalNeighborhood:
         without breaking byte parity.
 
         A forward mask (none of its alive ids dead in the origin)
-        advances from the origin and, if full-length, replaces it; an
-        older version's mask advances from the base.  The same mask
-        twice returns the same object.
+        advances from the origin and, if full-length, becomes the new
+        origin; any other mask gets a fresh grid build over its alive
+        points.  The origin's own mask returns the origin itself.
         """
         alive = np.asarray(alive, dtype=bool)
         if alive.shape[0] > self.n:
             raise ValueError(
                 f"alive mask has {alive.shape[0]} entries for {self.n} ids"
             )
-        mask = self._last[0]
-        # ``alive > mask``: alive now, dead in the origin.
-        if alive.size < mask.size or np.any(alive[: mask.size] > mask):
-            return self._advance(self._first, alive)
-        csr = self._advance(self._last, alive)
-        if csr is not self._last[1] and alive.size == self.n:
-            self._last = (alive.copy(), csr, np.diff(self._overlay_indptr))
+        if not self._forward(alive):
+            self.stale_mask_rebuilds += 1
+            return build_csr_grid(
+                self._points[: alive.size][alive], self.metric, self.radius
+            )
+        mask, csr = self._last
+        if alive.size == mask.size and np.array_equal(alive, mask):
+            return csr
+        csr = self._advance(alive)
+        if alive.size == self.n:
+            self._install(alive.copy(), csr)
         return csr
 
-    def _advance(self, origin: tuple, alive: np.ndarray) -> CSRNeighborhood:
-        """Advance ``origin`` to the forward mask ``alive``: each kept
-        origin row, then its kept overlay tail (see the module doc)."""
-        mask, csr, overlay_len = origin
-        if alive.size < mask.size:  # older than the base: the rest is dead
+    def _advance(self, alive: np.ndarray) -> CSRNeighborhood:
+        """Advance the origin to the forward mask ``alive``: each kept
+        origin row, then its kept overlay entries (see the module doc)."""
+        mask, csr = self._last
+        if alive.size < mask.size:  # older than the origin: the rest is dead
             alive = np.concatenate((alive, np.zeros(mask.size - alive.size, bool)))
         n = alive.size
-        if n == mask.size and np.array_equal(alive, mask):
-            return csr
         alive_ids = np.flatnonzero(alive)
         lookup = np.full(self.n, -1, dtype=np.int32)
         lookup[alive_ids] = np.arange(alive_ids.size, dtype=np.int32)
         origin_ids = np.flatnonzero(mask)
         # Origin local id -> new local id, -1 once dead.
         remap = np.take(lookup, origin_ids)
-        ptr = self._overlay_indptr
-        tail_start = ptr[:n].copy()
-        tail_start[: mask.size] += overlay_len
-        tail_len = ptr[1 : n + 1] - tail_start
+        tail_start = self._overlay_indptr[:n]
+        tail_len = np.diff(self._overlay_indptr[: n + 1])
         # Prefix sums of each row's output bound (origin row + tail).
         bound = np.zeros(n + 1, dtype=np.int64)
         bound[1:] = tail_len
@@ -422,5 +443,5 @@ class IncrementalNeighborhood:
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"IncrementalNeighborhood(n={self.n}, radius={self.radius}, "
-            f"nnz={self.nnz}, cells={len(self._cells)})"
+            f"nbytes={self.nbytes})"
         )

@@ -23,10 +23,10 @@ snapshots*:
   snapshots by the alive mask.
 * **incremental adjacency** — one
   :class:`~repro.graph.incremental.IncrementalNeighborhood` per radius
-  bucket that serving has materialised, fed every insert batch.  It
-  keeps the last snapshot it produced, so a post-mutation adjacency is
-  a forward step from the previous version (its alive edges plus the
-  delta), not a rebuild.
+  bucket that serving has materialised, fed every insert batch (one
+  grid query each).  It keeps the last snapshot it produced and only
+  the edges added since, so a post-mutation adjacency is a forward step
+  from the previous version (its alive edges plus the delta).
 
 Thread safety: all mutation and snapshot entry points serialise on one
 re-entrant lock; served snapshots are frozen arrays, safe to read
@@ -184,8 +184,9 @@ class MutableDataset:
                 )
                 self._points_cache = None
                 points = self.points_all()
+                # The mask before the deletes: repair reads their rows.
                 for adjacency in self._adjacency.values():
-                    adjacency.append(points, int(new_points.shape[0]))
+                    adjacency.append(points, int(new_points.shape[0]), self._alive)
                 if len(self._pending) >= self.compact_every:
                     self._base = self.points_all()
                     self._pending = []
@@ -298,7 +299,7 @@ class MutableDataset:
             adjacency = self._adjacency.get(bucket)
             if adjacency is None:
                 adjacency = IncrementalNeighborhood(
-                    self.points_all(), self.metric, float(radius)
+                    self.points_all(), self.metric, float(radius), self._alive
                 )
                 self._adjacency[bucket] = adjacency
             return adjacency
@@ -334,11 +335,11 @@ class MutableDataset:
         captures the post-batch alive mask at mutation time and resolves
         here on first read.  If the dataset has mutated again since, the
         pinned mask (shorter than the current one when inserts followed)
-        still reproduces that version's adjacency exactly — edges are
-        geometric facts, appends only ever add edges incident to ids the
-        pinned mask marks dead or does not cover, and the mask filter
-        removes them — so a reader holding an older version-stamped
-        handle never observes a newer version's graph.
+        still reproduces that version's adjacency exactly — it advances
+        from the bucket's last snapshot if no id it marks alive died
+        since, else gets a fresh grid build (``stale_mask_rebuilds``) —
+        so a reader holding an older version-stamped handle never
+        observes a newer version's graph.
         """
         with self._lock:
             return self.ensure_adjacency(radius).snapshot_csr(mask)
@@ -363,6 +364,9 @@ class MutableDataset:
                 "mutations": self.mutations,
                 "compactions": self.compactions,
                 "tracked_radii": self.tracked_buckets(),
+                "stale_mask_rebuilds": sum(
+                    a.stale_mask_rebuilds for a in self._adjacency.values()
+                ),
                 "spec": {"family": "live"},
             }
 

@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.cancellation import CHECKPOINT_EVERY, current_token
+from repro.graph.csr import CSRNeighborhood
 
 __all__ = ["jaccard", "repair_selection", "repair_selection_delta"]
 
@@ -78,28 +79,8 @@ def repair_selection(
     survivors_local = pos_clipped[hit].astype(np.int64)
     removed_global = previous_arr[~hit]
 
-    covered = csr.cover_mask(survivors_local)
-    uncovered = ~covered
-    added_local: list = []
-    token = current_token()
-    if np.any(uncovered):
-        counts = csr.neighbor_counts(uncovered).astype(np.int64)
-        iterations = 0
-        while True:
-            iterations += 1
-            if token is not None and iterations % CHECKPOINT_EVERY == 0:
-                token.checkpoint()
-            frontier = np.flatnonzero(uncovered)
-            if frontier.size == 0:
-                break
-            pick = int(frontier[np.argmax(counts[frontier])])
-            added_local.append(pick)
-            neighbors = csr.neighbors(pick).astype(np.int64)
-            newly = neighbors[uncovered[neighbors]]
-            uncovered[newly] = False
-            uncovered[pick] = False
-            sources = np.append(newly, np.int64(pick))
-            csr.decrement(counts, sources)
+    uncovered = ~csr.cover_mask(survivors_local)
+    added_local = _recover(csr, uncovered)
 
     added_arr = np.asarray(sorted(added_local), dtype=np.int64)
     selected_local = np.concatenate([survivors_local, added_arr]).astype(np.int64)
@@ -113,6 +94,31 @@ def repair_selection(
         "removed": [int(g) for g in removed_global],
         "jaccard_previous": jaccard(selected_global, previous),
     }
+
+
+def _recover(csr, uncovered: np.ndarray) -> list:
+    """Greedy-DisC over the ``uncovered`` objects of ``csr`` (consumed):
+    the picks in order, ties to the lowest id."""
+    picks: list = []
+    if not np.any(uncovered):
+        return picks
+    counts = csr.neighbor_counts(uncovered).astype(np.int64)
+    token = current_token()
+    iterations = 0
+    while True:
+        iterations += 1
+        if token is not None and iterations % CHECKPOINT_EVERY == 0:
+            token.checkpoint()
+        frontier = np.flatnonzero(uncovered)
+        if frontier.size == 0:
+            return picks
+        pick = int(frontier[np.argmax(counts[frontier])])
+        picks.append(pick)
+        neighbors = csr.neighbors(pick).astype(np.int64)
+        newly = neighbors[uncovered[neighbors]]
+        uncovered[newly] = False
+        uncovered[pick] = False
+        csr.decrement(counts, np.append(newly, np.int64(pick)))
 
 
 def repair_selection_delta(
@@ -131,12 +137,13 @@ def repair_selection_delta(
     version immediately before this batch, the uncovered set is exactly
     (a) the alive neighborhoods orphaned by deleted blacks plus (b) the
     batch's inserts that landed outside surviving coverage — both local
-    to the delta.  This function walks only that frontier against
-    :meth:`~repro.graph.incremental.IncrementalNeighborhood.row` and
-    produces the *same selection, pick for pick*, as
-    :func:`repair_selection` over the compacted snapshot — without ever
-    compacting, which is what keeps ``/mutate`` latency proportional to
-    the batch instead of the dataset.
+    to the delta.  This function reads only that frontier, with one
+    :meth:`~repro.graph.incremental.IncrementalNeighborhood.rows` call
+    for the deleted blacks and one for the candidates, and produces the
+    *same selection, pick for pick*, as :func:`repair_selection` over
+    the compacted snapshot — without ever compacting, which is what
+    keeps ``/mutate`` latency proportional to the batch instead of the
+    dataset.
 
     Precondition: ``previous`` is the selection served for the
     pre-batch version and ``(inserted, deleted)`` is exactly that
@@ -157,84 +164,38 @@ def repair_selection_delta(
 
     black = np.zeros(n_total, dtype=bool)
     black[survivors] = True
-    previous_set = set(int(p) for p in previous_arr.tolist())
 
     # Candidate frontier: every alive point that *might* have lost its
     # coverage — the neighborhoods of deleted blacks — plus the batch's
     # alive inserts (brand new, coverage unknown).
-    token = current_token()
-    candidates: set = set()
-    for i, dead in enumerate(deleted):
-        if token is not None and i % CHECKPOINT_EVERY == 0:
-            token.checkpoint()
-        dead = int(dead)
-        if dead not in previous_set:
-            continue  # a deleted white/grey never carried coverage
-        row = adjacency.row(dead)
-        if row.size:
-            candidates.update(int(c) for c in row[alive[row]].tolist())
-    for new_id in inserted:
-        new_id = int(new_id)
-        if 0 <= new_id < n_total and alive[new_id]:
-            candidates.add(new_id)
+    deleted_arr = np.asarray(deleted, dtype=np.int64).reshape(-1)
+    dead_blacks = deleted_arr[np.isin(deleted_arr, previous_arr)]
+    _, orphans = adjacency.rows(dead_blacks, alive)
+    inserted_arr = np.asarray(inserted, dtype=np.int64).reshape(-1)
+    inserted_arr = inserted_arr[(inserted_arr >= 0) & (inserted_arr < n_total)]
+    candidates = np.union1d(orphans, inserted_arr[alive[inserted_arr]])
+    candidates = candidates[~black[candidates]]
 
-    # Coverage check per candidate: a black neighbor (or being black)
-    # means the survivor set still covers it.
-    uncovered_ids: list = []
-    rows_of: dict = {}
-    for i, cand in enumerate(sorted(candidates)):
-        if token is not None and i % CHECKPOINT_EVERY == 0:
-            token.checkpoint()
-        if black[cand]:
-            continue
-        row = adjacency.row(cand)
-        alive_row = row[alive[row]] if row.size else row
-        if alive_row.size and bool(np.any(black[alive_row])):
-            continue
-        uncovered_ids.append(cand)
-        rows_of[cand] = alive_row
+    # Coverage check: a black neighbour means the survivors still cover
+    # the candidate.  Black entries per row from one prefix sum.
+    indptr, cols = adjacency.rows(candidates, alive)
+    blacks = np.concatenate(([0], np.cumsum(black[cols])))
+    covered = blacks[indptr[1:]] > blacks[indptr[:-1]]
+    u_arr = candidates[~covered]
 
-    # Greedy-DisC restricted to the frontier subgraph.  Ordering u_arr
-    # ascending (global ids) matches repair_selection's frontier order
-    # (local ids, a monotone remap), so argmax tie-breaks identically
-    # and the two paths emit the same picks.
-    u_arr = np.asarray(uncovered_ids, dtype=np.int64)
+    # Greedy-DisC on the frontier subgraph, in positions of u_arr.  Its
+    # ascending global ids match repair_selection's frontier order (local
+    # ids, a monotone remap): same argmax tie-breaks, same picks.
     in_frontier = np.zeros(n_total, dtype=bool)
-    if u_arr.size:
-        in_frontier[u_arr] = True
-    subs: list = []
-    for i, gid in enumerate(u_arr.tolist()):
-        if token is not None and i % CHECKPOINT_EVERY == 0:
-            token.checkpoint()
-        row = rows_of[gid]
-        subs.append(row[in_frontier[row]])
-    counts = np.fromiter(
-        (sub.size for sub in subs), dtype=np.int64, count=len(subs)
+    in_frontier[u_arr] = True
+    keep = in_frontier[cols] & np.repeat(~covered, np.diff(indptr))
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    frontier = CSRNeighborhood(
+        np.concatenate(([0], kept[indptr[1:]][~covered])),
+        np.searchsorted(u_arr, np.compress(keep, cols)),
     )
-    # Frontier ids -> positions in u_arr (ascending), in one pass.
-    flat = np.concatenate(subs) if subs else np.empty(0, dtype=np.int64)
-    sub_rows = np.split(np.searchsorted(u_arr, flat), np.cumsum(counts)[:-1])
-
-    uncovered = np.ones(u_arr.shape[0], dtype=bool)
-    added_global: list = []
-    iterations = 0
-    while True:
-        iterations += 1
-        if token is not None and iterations % CHECKPOINT_EVERY == 0:
-            token.checkpoint()
-        frontier = np.flatnonzero(uncovered)
-        if frontier.size == 0:
-            break
-        pick = int(frontier[np.argmax(counts[frontier])])
-        added_global.append(int(u_arr[pick]))
-        neighbors = sub_rows[pick]
-        newly = neighbors[uncovered[neighbors]]
-        uncovered[newly] = False
-        uncovered[pick] = False
-        for source in np.append(newly, np.int64(pick)):
-            counts[sub_rows[int(source)]] -= 1
-
-    added_arr = np.asarray(sorted(added_global), dtype=np.int64)
+    picks = _recover(frontier, np.ones(u_arr.size, dtype=bool))
+    added_arr = np.sort(u_arr[np.asarray(picks, dtype=np.int64)])
     selected_global = np.concatenate([survivors, added_arr])
     selected_global.sort()
     alive_ids = np.flatnonzero(alive)

@@ -128,13 +128,18 @@ class TestGridBuildersMatchPairwise:
                 min_block_pairs=1,
             )
             live = IncrementalNeighborhood(points, metric, radius)
+            # The same points, the second half appended: one grid query
+            # in pair batches of the patched size.
+            half = points.shape[0] // 2
+            grown = IncrementalNeighborhood(points[:half], metric, radius)
+            grown.append(points, points.shape[0] - half)
         assert_same_csr(flat, want)
         assert_same_rows(blocked, want)
         # Dense blocks only ever replace auto pairs, which compute
         # nothing: both builds charge the same distance evaluations.
         assert blocked_stats.distance_computations == flat_stats.distance_computations
-        assert_same_csr(live._base, want)
         assert_same_csr(live.snapshot_csr(np.ones(live.n, dtype=bool)), want)
+        assert_same_csr(grown.snapshot_csr(np.ones(grown.n, dtype=bool)), want)
 
 
 class TestPairedMatchesPairwise:

@@ -301,6 +301,32 @@ class TestLiveCacheView:
         fresh = build_csr_pairwise(handle.dataset.points, EUCLIDEAN, RADIUS)
         np.testing.assert_array_equal(csr.indptr, fresh.indptr)
         np.testing.assert_array_equal(csr.indices, fresh.indices)
+        # Untracked, the bucket's first origin is the mutated version, so
+        # the view's older mask (ids 0, 5, 9 alive) is rebuilt; tracked,
+        # the origin is still the view's version and advances forward.
+        assert live.describe()["stale_mask_rebuilds"] == (0 if tracked else 1)
+
+    def test_churn_sequence_needs_no_rebuild(self, rng):
+        """Apply, repair, then a snapshot every third batch at alternating
+        radii (the served ``churn`` mix): every mask is forward."""
+        live = _live(rng, n=400)
+        for radius in (RADIUS, RADIUS / 2):
+            live.adjacency_snapshot(radius)
+        csr, alive_ids = live.adjacency_snapshot(RADIUS)
+        previous = repair_selection(csr, alive_ids, [])["selected"]
+        for version in range(1, 13):
+            victims = rng.choice(live.alive_ids(), size=4, replace=False)
+            delta = live.apply(inserts=rng.random((4, 2)), deletes=victims)
+            previous = repair_selection_delta(
+                live.ensure_adjacency(RADIUS),
+                live.alive_mask(),
+                previous,
+                deleted=delta["deleted"],
+                inserted=delta["inserted"],
+            )["selected"]
+            if version % 3 == 0:
+                live.adjacency_snapshot((RADIUS, RADIUS / 2)[version % 2])
+        assert live.describe()["stale_mask_rebuilds"] == 0
 
 
 #: Dense enough that ``_plan_grid`` keeps sub-radius cells (resolution
@@ -336,7 +362,9 @@ class TestIncrementalChurnProperty:
         """Snapshots taken after a random subset of batches (so the
         origin they advance from is 0..k batches old) and older
         versions' masks resolved after newer snapshots all equal a
-        fresh build; an older mask never moves the origin back."""
+        fresh build; an older mask never moves the origin back.  Rows
+        and the delta repair are checked against fresh builds too, the
+        repair sometimes after a snapshot at its own version."""
         rng = np.random.default_rng(seed)
         centers = rng.random((3, 2))
         points = _clustered(rng, centers, 200)
@@ -344,25 +372,48 @@ class TestIncrementalChurnProperty:
         assert incremental.resolution == 4
         alive = np.ones(points.shape[0], dtype=bool)
         history = [alive.copy()]  # every version's mask, at its length
+        previous = repair_selection(
+            incremental.snapshot_csr(alive), np.flatnonzero(alive), []
+        )["selected"]
         for step, (inserts, deletes) in enumerate(batches):
+            start = points.shape[0]
             if inserts:
                 batch = _clustered(rng, centers, inserts, outlier_rate=0.1)
                 points = np.concatenate([points, batch])
-                incremental.append(points, inserts)
                 alive = np.concatenate([alive, np.ones(inserts, dtype=bool)])
+                # As MutableDataset.apply: the mask before the deletes.
+                incremental.append(points, inserts, alive)
             live_ids = np.flatnonzero(alive)
             if deletes == "all":
                 alive[:] = False
             elif deletes == "some" and live_ids.size:
                 size = int(rng.integers(1, live_ids.size // 4 + 2))
                 alive[rng.choice(live_ids, size=size, replace=False)] = False
+            deleted = np.setdiff1d(live_ids, np.flatnonzero(alive))
             history.append(alive.copy())
-            # row() is the uncompacted view: every neighbor, dead or not.
+            # rows(): every id, alive, deleted in this batch or long
+            # dead, lists exactly its alive neighbours.
             full = build_csr_pairwise(points, EUCLIDEAN, CHURN_RADIUS)
             for i in range(points.shape[0]):
-                row = incremental.row(i)
+                want = full.neighbors(i)
+                indptr, row = incremental.rows([i], alive)
                 assert row.dtype == np.int32
-                np.testing.assert_array_equal(row, full.neighbors(i))
+                np.testing.assert_array_equal(indptr, [0, row.size])
+                np.testing.assert_array_equal(row, want[alive[want]])
+
+            snap_first = rng.random() < 0.5
+            if snap_first:  # the batch's deleted blacks are dead at the origin
+                snap = incremental.snapshot_csr(alive)
+            fast = repair_selection_delta(
+                incremental,
+                alive,
+                previous,
+                deleted=deleted,
+                inserted=np.arange(start, points.shape[0]),
+            )
+            if snap_first:
+                assert fast == repair_selection(snap, np.flatnonzero(alive), previous)
+            previous = fast["selected"]
             if step < len(batches) - 1 and rng.random() < 0.5:
                 continue  # no read at this version: the origin ages
 
@@ -375,6 +426,14 @@ class TestIncrementalChurnProperty:
             )
             # The older mask left the origin at this version.
             assert incremental.snapshot_csr(alive) is snap
+            # All rows at once, under the older mask too.
+            padded = np.zeros(points.shape[0], dtype=bool)
+            padded[: older.size] = older
+            indptr, rows = incremental.rows(np.arange(points.shape[0]), padded)
+            for i in range(points.shape[0]):
+                want = full.neighbors(i)
+                got = rows[indptr[i] : indptr[i + 1]]
+                np.testing.assert_array_equal(got, want[padded[want]])
 
     @staticmethod
     def _assert_fresh(snap, points, alive):
@@ -383,6 +442,30 @@ class TestIncrementalChurnProperty:
         assert snap.indices.dtype == fresh.indices.dtype
         np.testing.assert_array_equal(snap.indptr, fresh.indptr)
         np.testing.assert_array_equal(snap.indices, fresh.indices)
+
+    def test_unread_bucket_stays_bounded(self):
+        """n=5k clustered, one tracked bucket that is never read, 60
+        batches of 1% inserts (uniform over the bounding box, as the
+        served ``churn`` workload sends) and 1% deletes: the footprint
+        stays below twice a fresh build over the alive points, and one
+        full-length snapshot empties the overlay."""
+        from repro.datasets import clustered_dataset
+        from repro.graph import build_csr_grid
+
+        rng = np.random.default_rng(3)
+        dataset = clustered_dataset(n=5_000, seed=42)
+        lo, hi = dataset.points.min(axis=0), dataset.points.max(axis=0)
+        live = MutableDataset("bounded", dataset)
+        adjacency = live.ensure_adjacency(0.05)
+        for _ in range(60):
+            victims = rng.choice(live.alive_ids(), size=50, replace=False)
+            live.apply(inserts=lo + rng.random((50, 2)) * (hi - lo), deletes=victims)
+            alive_points = live.points_all()[live.alive_mask()]
+            fresh = build_csr_grid(alive_points, EUCLIDEAN, 0.05)
+            assert adjacency.nbytes < 2 * fresh.nbytes
+        csr, _ = live.adjacency_snapshot(0.05)
+        assert adjacency._overlay_indices.size == 0
+        assert adjacency.nbytes == csr.nbytes + adjacency._overlay_indptr.nbytes
 
     def test_snapshot_transient_memory_stays_below_twice_the_result(self):
         """One snapshot's peak allocation stays under 2x its output.
