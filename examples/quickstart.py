@@ -51,7 +51,7 @@ def main() -> None:
     #        curl -s localhost:8722/select -d \
     #            '{"dataset": "uniform", "radius": 0.1}'
     #
-    #    See repro.service and `python -m repro bench --service`.
+    #    See repro.service; `python3 perfbench/run.py` times it.
 
 
 if __name__ == "__main__":

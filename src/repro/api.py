@@ -23,12 +23,10 @@ The pipeline has three layers:
 expose: request in, :class:`~repro.core.result.DiscResult` out (both
 sides serialisable via ``to_dict``/``from_dict``).
 
-Backwards-compatible shims
---------------------------
+Historical signatures
+---------------------
 :func:`build_index` and :func:`disc_select` keep their historical
-signatures and delegate to the pipeline.  :class:`DiscDiversifier` is
-the old name of :class:`DiscSession`; it still works but emits a
-``DeprecationWarning``.
+signatures and delegate to the pipeline.
 
 Example
 -------
@@ -51,7 +49,6 @@ validated, so a typo never ships green until the first real request.
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -83,7 +80,6 @@ __all__ = [
     "disc_select",
     "execute_request",
     "DiscSession",
-    "DiscDiversifier",
 ]
 
 
@@ -422,37 +418,4 @@ class DiscSession:
         return (
             f"{type(self).__name__}(n={self.points.shape[0]}, "
             f"engine={self.engine!r}, metric={self.metric.name})"
-        )
-
-
-class DiscDiversifier(DiscSession):
-    """Deprecated alias of :class:`DiscSession` (pre-pipeline name).
-
-    Same constructor, same behaviour; emits a ``DeprecationWarning`` so
-    service code migrates to the session vocabulary.
-    """
-
-    def __init__(
-        self,
-        data: Union[Dataset, np.ndarray],
-        metric=None,
-        *,
-        engine: str = "auto",
-        cache_radii: int = 8,
-        adjacency_cache: Optional[AdjacencyCache] = None,
-        **engine_options,
-    ):
-        warnings.warn(
-            "DiscDiversifier has been renamed DiscSession; the old name is "
-            "a shim and will be removed in a future release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(
-            data,
-            metric,
-            engine=engine,
-            cache_radii=cache_radii,
-            adjacency_cache=adjacency_cache,
-            **engine_options,
         )

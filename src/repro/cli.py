@@ -18,9 +18,8 @@ Commands
     Wall-clock benchmark of index build + Greedy-DisC selection across
     dataset families, cardinalities and engines; emits
     ``results/BENCH_perf.json``.  ``--quick`` restricts to n=2000 for a
-    seconds-scale smoke run.  ``--session`` benchmarks the session
-    adjacency cache; ``--service`` replays a multi-client zoom trace
-    against the HTTP serving layer (emits ``results/BENCH_service.json``).
+    seconds-scale smoke run.  Serving latency is measured by
+    ``perfbench/`` (the benchmark of record), not here.
 ``serve``
     The asyncio JSON-over-HTTP serving layer (:mod:`repro.service`):
     shared dataset registry, process-wide adjacency cache, request
@@ -162,22 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--out", default=None, help="JSON output path (default results/BENCH_perf.json)"
     )
-    p_bench.add_argument(
-        "--session", action="store_true",
-        help="session adjacency-cache benchmark instead of the engine "
-        "sweep (repeated-radius zoom sequence, session vs one-shot; "
-        "emits results/BENCH_session.json)",
-    )
-    p_bench.add_argument(
-        "--service", action="store_true",
-        help="serving-layer load benchmark: multi-client zoom trace "
-        "over HTTP, shared cache + coalescing vs stateless baseline "
-        "(emits results/BENCH_service.json)",
-    )
-    p_bench.add_argument(
-        "--clients", type=int, default=4,
-        help="concurrent clients for --service (default 4)",
-    )
 
     p_serve = sub.add_parser(
         "serve", help="asyncio JSON-over-HTTP serving layer (repro.service)"
@@ -234,14 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--ttl", type=float, default=None,
         help="seconds a cached adjacency stays valid (default forever)",
-    )
-    p_serve.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the shared adjacency cache (stateless baseline)",
-    )
-    p_serve.add_argument(
-        "--no-coalesce", action="store_true",
-        help="disable single-flighting of identical concurrent requests",
     )
     p_serve.add_argument(
         "--default-timeout-ms", type=float, default=None,
@@ -442,54 +417,9 @@ def _cmd_table3(args) -> int:
 def _cmd_bench(args) -> int:
     from repro.experiments import (
         render_bench_table,
-        render_session_table,
-        run_session_bench,
         run_wallclock_bench,
         write_bench_json,
-        write_session_json,
     )
-
-    if args.session and args.service:
-        raise SystemExit("--session and --service are mutually exclusive")
-    if args.service:
-        from repro.service.load import (
-            render_service_table,
-            run_service_bench,
-            write_service_json,
-        )
-
-        workloads = args.workload or ["clustered"]
-        if len(workloads) > 1:
-            raise SystemExit("bench --service takes a single --workload")
-        payload = run_service_bench(
-            workload=workloads[0], quick=args.quick, clients=args.clients
-        )
-        print(render_service_table(payload))
-        out = args.out
-        if out is None and (args.quick or args.workload):
-            # Partial runs must not clobber the committed full baseline.
-            from repro.experiments import results_dir
-
-            out = os.path.join(results_dir(), "BENCH_service_quick.json")
-        path = write_service_json(payload, out)
-        print(f"[saved to {path}]")
-        return 0
-
-    if args.session:
-        workloads = args.workload or ["clustered"]
-        if len(workloads) > 1:
-            raise SystemExit("bench --session takes a single --workload")
-        payload = run_session_bench(workload=workloads[0], quick=args.quick)
-        print(render_session_table(payload))
-        out = args.out
-        if out is None and (args.quick or args.workload):
-            # Partial runs must not clobber the committed full baseline.
-            from repro.experiments import results_dir
-
-            out = os.path.join(results_dir(), "BENCH_session_quick.json")
-        path = write_session_json(payload, out)
-        print(f"[saved to {path}]")
-        return 0
 
     payload = run_wallclock_bench(workloads=args.workload, quick=args.quick)
     print(render_bench_table(payload))
@@ -540,23 +470,18 @@ def _cmd_serve(args) -> int:
             faults = FaultInjector(FaultConfig.from_dict(_json.loads(args.faults)))
         except (ValueError, TypeError) as exc:
             raise SystemExit(f"--faults: {exc}") from None
-    cache = None
-    if not args.no_cache:
-        cache = SharedCacheManager(
-            max_entries=args.cache_entries,
-            max_bytes=(
-                None if args.cache_mb is None else int(args.cache_mb * 2**20)
-            ),
-            ttl_s=args.ttl,
-            faults=faults,
-        )
+    cache = SharedCacheManager(
+        max_entries=args.cache_entries,
+        max_bytes=None if args.cache_mb is None else int(args.cache_mb * 2**20),
+        ttl_s=args.ttl,
+        faults=faults,
+    )
     state = ServiceState(
         registry,
         cache=cache,
         engine=args.engine,
         workers=args.threads,
         max_inflight=args.max_inflight or None,
-        coalesce=not args.no_coalesce,
         default_timeout_ms=args.default_timeout_ms,
         max_timeout_ms=args.max_timeout_ms,
         faults=faults,
@@ -630,11 +555,9 @@ def _serve_supervised(args, names) -> int:
             engine=args.engine,
             threads=args.threads,
             max_inflight=args.max_inflight or None,
-            cache=not args.no_cache,
             cache_entries=args.cache_entries,
             cache_mb=args.cache_mb,
             ttl_s=args.ttl,
-            coalesce=not args.no_coalesce,
             default_timeout_ms=args.default_timeout_ms,
             max_timeout_ms=args.max_timeout_ms,
             faults=faults,
@@ -735,18 +658,14 @@ def _cmd_worker(args) -> int:
             faults = FaultInjector(
                 FaultConfig.from_dict(config["faults"]), process_faults=True
             )
-        cache = None
-        if config.get("cache", True):
-            cache_mb = config.get("cache_mb")
-            cache = SharedCacheManager(
-                max_entries=int(config.get("cache_entries") or 64),
-                max_bytes=None if cache_mb is None else int(cache_mb * 2**20),
-                ttl_s=config.get("ttl_s"),
-                faults=faults,
-                backing=(
-                    None if store is None else shm_mod.ShmCacheBacking(store)
-                ),
-            )
+        cache_mb = config.get("cache_mb")
+        cache = SharedCacheManager(
+            max_entries=int(config.get("cache_entries") or 64),
+            max_bytes=None if cache_mb is None else int(cache_mb * 2**20),
+            ttl_s=config.get("ttl_s"),
+            faults=faults,
+            backing=None if store is None else shm_mod.ShmCacheBacking(store),
+        )
         state = ServiceState(
             registry,
             cache=cache,
@@ -754,7 +673,6 @@ def _cmd_worker(args) -> int:
             engine_options=config.get("engine_options") or None,
             workers=int(config.get("threads") or 4),
             max_inflight=config.get("max_inflight"),
-            coalesce=bool(config.get("coalesce", True)),
             default_timeout_ms=config.get("default_timeout_ms"),
             max_timeout_ms=config.get("max_timeout_ms"),
             faults=faults,

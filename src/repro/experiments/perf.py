@@ -67,10 +67,6 @@ __all__ = [
     "run_wallclock_bench",
     "render_bench_table",
     "write_bench_json",
-    "SESSION_ZOOM_PATTERN",
-    "run_session_bench",
-    "render_session_table",
-    "write_session_json",
 ]
 
 BENCH_SIZES = [2000, 10000, 50000, 100000, 200000]
@@ -285,106 +281,6 @@ def write_bench_json(payload: dict, path: Optional[str] = None) -> str:
     """Persist the payload as ``results/BENCH_perf.json`` (or ``path``)."""
     if path is None:
         path = os.path.join(results_dir(), "BENCH_perf.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-# ----------------------------------------------------------------------
-# Session adjacency-cache benchmark (the DiscSession reuse story)
-# ----------------------------------------------------------------------
-
-#: The interactive zoom pattern: coarse view, zoom in, back out, in
-#: again, wider, back to the start — radii repeat, which is exactly what
-#: the session's LRU adjacency cache exists for.  Multipliers of the
-#: workload's benchmark radius.
-SESSION_ZOOM_PATTERN = (1.0, 0.5, 1.0, 0.5, 1.5, 1.0, 0.5, 1.5)
-
-
-def run_session_bench(
-    n: int = 20_000,
-    workload: str = "clustered",
-    *,
-    quick: bool = False,
-    pattern: Optional[List[float]] = None,
-) -> dict:
-    """Time a repeated-radius zoom sequence: session vs one-shot requests.
-
-    The one-shot baseline is the stateless service pattern — a fresh
-    :func:`repro.api.disc_select` per request, which rebuilds index and
-    adjacency every time.  The session path builds one
-    :class:`~repro.api.DiscSession` and replays the same radii through
-    :meth:`~repro.api.DiscSession.select_many`, so repeated radii hit
-    the LRU adjacency cache.  Both sides run the same grid engine with
-    the same cell size, and the selections are asserted identical, so
-    the delta is purely build/cache work.
-    """
-    from repro.api import DiscSession, disc_select
-
-    if quick:
-        n = min(n, 5000)
-    data = _WORKLOADS[workload](n)
-    base = bench_radius(workload, n)
-    multipliers = list(pattern or SESSION_ZOOM_PATTERN)
-    radii = [base * m for m in multipliers]
-    engine_options = {"cell_size": base}
-
-    t0 = time.perf_counter()
-    one_shot = [
-        disc_select(data, r, engine="grid", engine_options=dict(engine_options))
-        for r in radii
-    ]
-    one_shot_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    session = DiscSession(data, engine="grid", **engine_options)
-    results = session.select_many(radii)
-    session_s = time.perf_counter() - t0
-
-    for a, b in zip(one_shot, results):
-        assert a.selected == b.selected, "session parity violated"
-
-    return {
-        "schema": "bench-session-v1",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "repro": __version__,
-        "workload": workload,
-        "n": n,
-        "radii": [round(r, 6) for r in radii],
-        "unique_radii": len(set(radii)),
-        "selects": len(radii),
-        "sizes": [r.size for r in results],
-        "one_shot_s": round(one_shot_s, 6),
-        "session_s": round(session_s, 6),
-        "speedup": round(one_shot_s / session_s, 3) if session_s else None,
-        "cache": session.cache_info(),
-    }
-
-
-def render_session_table(payload: dict) -> str:
-    """Human-readable summary of one :func:`run_session_bench` payload."""
-    cache = payload["cache"]
-    return format_table(
-        f"Session adjacency cache — {payload['workload']} "
-        f"(n={payload['n']}, {payload['selects']} selects over "
-        f"{payload['unique_radii']} radii)",
-        ["path", "seconds", "builds", "cache hits"],
-        [
-            ["one-shot disc_select", payload["one_shot_s"], payload["selects"], 0],
-            ["DiscSession.select_many", payload["session_s"],
-             cache["misses"], cache["hits"]],
-            [f"speedup {payload['speedup']}x", "", "", ""],
-        ],
-        float_fmt="{:.3f}",
-    )
-
-
-def write_session_json(payload: dict, path: Optional[str] = None) -> str:
-    """Persist the payload as ``results/BENCH_session.json`` (or ``path``)."""
-    if path is None:
-        path = os.path.join(results_dir(), "BENCH_session.json")
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -88,8 +88,7 @@ an engine capability registry:
   radius when one is known, the KD-tree otherwise, brute force for
   non-coordinate metrics.  Options constrain the policy
   (`engine="auto", capacity=10` still lands on the M-tree).
-* **`DiscSession`** (né `DiscDiversifier`, which remains as a
-  deprecated shim) is the interactive-mode façade: index once, then
+* **`DiscSession`** is the interactive-mode façade: index once, then
   `select` / `select_many` / zoom / `compare_methods`.  Sessions
   install a radius-keyed LRU adjacency cache (`cache_radii` budget) so
   repeated radii — the zoom back-and-forth pattern of the paper's
@@ -97,15 +96,10 @@ an engine capability registry:
   `adjacency_cache=` to attach a shared cross-session cache instead
   (see Serving below).
 
-Session cache win on a repeated-radius zoom sequence (`python -m repro
-bench --session`, recorded in `results/BENCH_session.json`): 1.9x vs
-one-shot `disc_select` at n=20000 (3 adjacency builds instead of 8).
-
-Migration: `DiscDiversifier` → `DiscSession` (same constructor and
-methods; the old name warns).  `build_index` / `disc_select` keep their
-signatures unchanged.  The API surface is pinned by
-`tests/test_api_surface.py`; CI runs the shim-deprecation lane with
-warnings-as-errors.
+The session's pre-pipeline alias, deprecated when the pipeline landed,
+is removed.  `build_index` / `disc_select` keep their signatures
+unchanged.  The API surface is pinned by `tests/test_api_surface.py`;
+CI runs it with warnings-as-errors.
 
 ## Serving — the async multi-user layer (PR 5)
 
@@ -150,18 +144,15 @@ repeating constantly.
   (`--workers`), with admission control returning 503 past
   `--max-inflight`.
 * **Parity** — every served selection is byte-identical to a direct
-  `disc_select` call (pinned by `tests/test_service.py` and re-checked
-  inside the load harness before anything is reported).
+  `disc_select` call (pinned by `tests/test_service.py`, and checked
+  for every 200 of the chaos and kill -9 zoom traces).
 
-Load evidence (`python -m repro bench --service`, recorded in
-`results/BENCH_service.json`): a 4-client repeated-radius zoom trace
-(8 steps, 3 unique radii, n=20000 clustered) against the stateless
-no-cache baseline — see the `BENCH_service` block above for the
-committed numbers (shared-cache hit rate >= 50%, computations <
-requests, throughput >= 1.5x).  CI smoke: `tests/test_service.py`
-starts `repro serve` as a subprocess, replays a 2-client trace,
-asserts 200s + cache hits + clean SIGTERM shutdown, and `repro bench
---service --quick` runs in the fast lane.
+Load evidence: the `zoom-warm` and `zoom-cold` workloads of
+`perfbench/` (the benchmark of record) replay zoom traffic over real
+HTTP; their committed records are in `results/perfbench/`.  CI smoke:
+`tests/test_service.py` starts `repro serve` as a subprocess, replays
+a 2-client trace, and asserts 200s + cache hits + clean SIGTERM
+shutdown.
 
 ## Fault tolerance — deadlines, degraded modes, chaos (PR 6)
 
@@ -231,11 +222,9 @@ The serving layer degrades predictably instead of hanging or lying.
   requests, the in-flight gauge draining to 0, and byte-parity of
   every success with the fault-free run.
 
-The **deadline** phase of `python -m repro bench --service` replays
-the shared trace under a per-request budget sized at the stateless
-p90 and records p99 <= `timeout_ms` + one checkpoint allowance
-(250 ms), with timed-out and degraded responses counted separately in
-`results/BENCH_service.json`.
+The chaos suite's deadline case replays the trace under a 150 ms
+budget with every build slowed past it, and asserts that every 408
+arrives within `timeout_ms` + one checkpoint allowance (250 ms).
 
 ## Supervised serving — multi-process pool, shared memory (PR 7)
 
@@ -278,14 +267,9 @@ supervisor`).
   segment listing.  The PR 6 fault mixes rerun under supervision
   unchanged.
 
-The **supervised** phase of `python -m repro bench --service` replays
-the shared trace against a 4-worker pool and records the per-worker
-rollup, restart/replay counts, and cluster-wide build totals in
-`results/BENCH_service.json` (schema v3).  Throughput scaling is a
-hardware claim: the summary records `cpu_count` and a `core_bound`
-flag, and the >= 2.5x multi-worker bar applies only when the box
-actually has a core per worker (on a 1-core runner the processes
-time-slice one CPU and the recorded speedup is honestly < 1).
+`tests/test_supervisor.py` asserts `builds == unique radii`
+cluster-wide over the zoom pattern's three radii, and perfbench's
+`zoom-warm` workload times a 2-worker pool (`results/perfbench/`).
 
 ## Static analysis — mechanically enforced invariants (PR 8)
 
@@ -347,12 +331,11 @@ for non-live datasets stay byte-identical).
   greedy re-cover runs only over neighborhoods orphaned by deleted
   blacks plus out-of-coverage inserts — proven pick-for-pick identical
   to the full compacted-snapshot repair.
-* **Measured contract** (`BENCH_service.json`, `bench-service-v4`,
-  mutation lane: 10 batches × 10% churn, clustered n=20k): repaired
-  selections independently verified r-DisC diverse every batch;
-  Jaccard stability ≈0.95 vs ≈0.39 for recompute-from-scratch;
-  `/mutate`+repair ≥5x faster than re-register + recompute (6.9x at
-  last measure).
+* **Measured contract** — `tests/test_live.py` runs 10 batches ×
+  10% churn (clustered n=2k): repaired selections are independently
+  verified r-DisC diverse every batch, and their Jaccard stability
+  beats recompute-from-scratch (≈0.95 vs ≈0.75).  perfbench's `churn`
+  workload times `/mutate` with delta repair over HTTP.
 * **Crash-consistency** — under `--workers N` the front serialises
   mutations per dataset, applies them on every replica, and keeps the
   authoritative log; the chaos lane `kill -9`s a worker mid-stream and
@@ -403,11 +386,10 @@ the reverse) makes each request tell its own story.
   an HTTP handler reads and answers requests without opening a
   request span, and when any literal metric name (any scope) violates
   the registry regex.
-* **Measured overhead** — the `tracing` lane of `python -m repro
-  bench --service` (schema v5) replays the shared-cache trace with
-  tracing+sink off and on in a balanced order and records the p50
-  delta: within the <= 5% acceptance bar (about -2% at last measure —
-  the per-request cost is a few span objects and one buffered JSONL
+* **Measured overhead** — `benchmarks/test_tracing_overhead.py`
+  replays the 4-client zoom trace with tracing+sink off and on,
+  mirror-ordered, and gates the minimum-p50 delta at <= 5% (the
+  per-request cost is a few span objects and one buffered JSONL
   append, below run-to-run noise).
 """
 

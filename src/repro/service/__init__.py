@@ -23,9 +23,9 @@ This package is that serving layer:
   circuit breaker, retry policies and the structured error contract;
 * :mod:`~repro.service.faults` — deterministic, seedable fault
   injection (``repro serve --faults``) driving the chaos suite;
-* :mod:`repro.service.load` — the multi-client zoom-trace load
-  harness behind ``repro bench --service`` and
-  ``results/BENCH_service.json``;
+* :mod:`repro.service.load` — the multi-client zoom-trace drivers of
+  the chaos and kill -9 suites (serving latency is measured by
+  ``perfbench/``);
 * :mod:`~repro.service.shm` — the refcounted, checksummed
   ``multiprocessing.shared_memory`` segment registry (one adjacency
   build per radius machine-wide, orphan sweep on startup);

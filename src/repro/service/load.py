@@ -1,82 +1,27 @@
-"""Load-generation harness: multi-client zoom traces against the server.
+"""Zoom-trace drivers for the chaos and kill -9 suites.
 
-The serving claim is quantitative — a shared adjacency cache plus
-request coalescing should beat a stateless service on exactly the
-traffic the paper's interactive mode generates: many users zooming
-over the same dataset, radii repeating constantly.  This harness
-replays that trace and records the evidence in
-``results/BENCH_service.json``:
-
-* ``clients`` threads each replay the session zoom pattern
-  (:data:`~repro.experiments.perf.SESSION_ZOOM_PATTERN` multiples of
-  the workload's benchmark radius) through real HTTP ``/select``
-  calls, step-synchronised with a barrier so identical requests land
-  concurrently — the coalescing opportunity a popular view creates;
-* phase **no_cache** serves them statelessly (fresh index per request,
-  no shared cache, no coalescing) — the ``disc_select``-per-request
-  baseline;
-* phase **shared** serves them with the
-  :class:`~repro.service.cache.SharedCacheManager` and single-flight
-  enabled;
-* phase **deadline** replays the shared configuration with a
-  per-request ``timeout_ms`` budget sized from the no-cache latency
-  distribution — proving the cooperative-cancellation checkpoints
-  keep even timed-out requests' observed latency within
-  ``timeout_ms`` + :data:`DEADLINE_SLACK_MS`, and that degraded
-  (stale-tier) responses are counted separately;
-* every successful response is checked byte-identical against a
-  direct :func:`repro.api.disc_select` call (``parity``), so neither
-  the speedup nor the resilience is bought with a different answer.
-
-:func:`run_chaos_trace` is the fault-injection variant the resilience
-suite drives: the same 4-client zoom trace replayed against a server
-with a seeded :class:`~repro.service.faults.FaultInjector` (build
-failures, slow builds, connection resets, worker stalls) and
-retry-enabled clients — asserting zero hung requests, the in-flight
-gauge draining to zero, and byte-parity of every successful response
-with the fault-free run.
-
-The **supervised** phase replays the trace against a
-:func:`~repro.service.supervisor.start_supervised` worker pool (shared
-memory adjacency, failover routing) and rolls up per-worker ``/stats``
-at the front — the headline claim being ``builds == unique radii``
-*cluster-wide*: N workers, one adjacency build per radius, everyone
-else attaches the segment.  :func:`run_kill9_trace` is its chaos twin:
-SIGKILL a worker mid-trace and assert zero lost requests (the front
-replays them), byte-parity, a completed restart, and no leaked
-``/dev/shm`` segments after shutdown.
-
-The **mutation** lane (PR 9) churns a *live* dataset through ``POST
-/mutate`` batches carrying selection-repair requests and compares the
-wall-clock against the immutable alternative (re-register the churned
-points, recompute from scratch, every batch) — recording the repaired
-selection's independently verified Definition 1 validity and the
-Jaccard stability of consecutive selections in both lanes.
-
-Reported per phase: wall-clock, throughput, latency percentiles, the
-server's ``/stats`` computation/coalescing/timeout counters and the
-shared cache's hit/miss/build accounting.  ``python -m repro bench
---service`` runs it from the CLI; ``benchmarks/test_service_load.py``
-asserts the headline numbers.
+Each driver replays the paper's interactive pattern — :data:`CLIENTS`
+threads stepping through :data:`SESSION_ZOOM_PATTERN` multiples of the
+clustered workload's benchmark radius over real HTTP,
+barrier-synchronised so identical requests land concurrently — and
+checks every 200 byte for byte against a direct
+:func:`repro.api.disc_select` call.
+:func:`run_chaos_trace` serves one process with a seeded fault
+injector; :func:`run_kill9_trace` SIGKILLs a supervised worker
+mid-trace.  Latency is measured by ``perfbench/``, not here.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 import shutil
 import tempfile
 import threading
 import time
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-import numpy as np
-
-from repro import __version__
-from repro.experiments.perf import SESSION_ZOOM_PATTERN, _WORKLOADS, bench_radius
-from repro.experiments.tables import format_table, results_dir
-from repro.obs.sink import iter_trace_records, validate_trace_record
+from repro.experiments.perf import _WORKLOADS, bench_radius
+from repro.obs.sink import iter_trace_records
 from repro.service.cache import SharedCacheManager
 from repro.service.client import RetryPolicy, ServiceClient, ServiceError
 from repro.service.faults import FaultConfig, FaultInjector
@@ -85,96 +30,107 @@ from repro.service.server import start_in_thread
 from repro.service.state import ServiceState
 
 __all__ = [
+    "CLIENTS",
     "DEADLINE_SLACK_MS",
+    "SESSION_ZOOM_PATTERN",
+    "ZoomTrace",
+    "replay_single",
     "run_chaos_trace",
     "run_kill9_trace",
-    "run_service_bench",
-    "render_service_table",
-    "write_service_json",
+    "zoom_trace",
 ]
+
+#: The interactive zoom pattern: coarse view, zoom in, back out, in
+#: again, wider, back to the start — radii repeat, which is what the
+#: shared adjacency cache and single-flight exist for.  Multipliers of
+#: the workload's benchmark radius.
+SESSION_ZOOM_PATTERN = (1.0, 0.5, 1.0, 0.5, 1.5, 1.0, 0.5, 1.5)
 
 #: Allowance on top of ``timeout_ms`` for the observed latency of a
 #: deadline-bounded request: one cooperative-cancellation checkpoint
 #: interval (the worst case between two ``token.checkpoint()`` calls in
-#: the greedy loops / CSR builders) plus response serialisation.  The
-#: acceptance bar is p99 <= timeout_ms + this slack.
+#: the greedy loops / CSR builders) plus response serialisation.
 DEADLINE_SLACK_MS = 250.0
 
+WORKLOAD = "clustered"
+#: Concurrent users; each also gets a server thread.
+CLIENTS = 4
+#: Supervised workers in the kill -9 trace.
+WORKERS = 2
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, int(round(q * (len(sorted_values) - 1)))))
-    return sorted_values[rank]
+#: The stats probe retries through injected connection resets, so a
+#: chaos run can still read its own evidence.
+_PROBE_RETRY = RetryPolicy(
+    retries=8, base_s=0.01, cap_s=0.1, budget_s=2.0, statuses=(), seed=97
+)
 
 
-def _latency_summary(latencies_s: List[float]) -> dict:
-    ordered = sorted(latencies_s)
-    return {
-        "p50_ms": round(_percentile(ordered, 0.50) * 1e3, 3),
-        "p90_ms": round(_percentile(ordered, 0.90) * 1e3, 3),
-        "p99_ms": round(_percentile(ordered, 0.99) * 1e3, 3),
-        "max_ms": round((ordered[-1] if ordered else 0.0) * 1e3, 3),
-        "mean_ms": round(
-            (sum(ordered) / len(ordered) if ordered else 0.0) * 1e3, 3
-        ),
+class ZoomTrace(NamedTuple):
+    """One trace: the radii in request order, the engine payload every
+    client sends, and the fault-free reference selection per radius."""
+
+    n: int
+    radii: List[float]
+    engine: dict
+    reference: Dict[float, List[int]]
+
+
+def zoom_trace(n: int) -> ZoomTrace:
+    """The zoom pattern over the clustered workload at cardinality ``n``."""
+    from repro.api import disc_select
+
+    base = bench_radius(WORKLOAD, n)
+    radii = [base * m for m in SESSION_ZOOM_PATTERN]
+    # The grid engine with radius-sized cells is the serving workhorse.
+    options = {"cell_size": base}
+    data = _WORKLOADS[WORKLOAD](n)
+    reference = {
+        radius: [
+            int(i)
+            for i in disc_select(
+                data, radius, engine="grid", engine_options=options
+            ).selected
+        ]
+        for radius in sorted(set(radii))
     }
+    return ZoomTrace(n, radii, {"name": "grid", "options": options}, reference)
 
 
 def _client_worker(
     host: str,
     port: int,
-    dataset: str,
-    radii: List[float],
-    engine_payload: dict,
+    trace: ZoomTrace,
     barrier: threading.Barrier,
     records: List[dict],
     errors: List[BaseException],
-    timeout_ms: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
+    timeout_ms: Optional[float],
+    retry: Optional[RetryPolicy],
 ) -> None:
     """One simulated user: replay the zoom trace, record every outcome.
 
     Non-200 responses (deadline 408/504, breaker/injected 503) are
-    recorded with their status instead of killing the worker — a load
-    phase under faults or deadlines must observe failures, not abort
-    on them.  Only transport errors that survive the client's retry
-    budget and truly unexpected exceptions escape to ``errors``.
+    recorded with their status; only transport errors that survive the
+    client's retry budget escape to ``errors``.
     """
     try:
         with ServiceClient(host, port, retry=retry) as client:
-            for radius in radii:
+            for radius in trace.radii:
                 barrier.wait()
                 t0 = time.perf_counter()
                 try:
                     response = client.select(
-                        dataset, radius, engine=engine_payload, timeout_ms=timeout_ms
+                        WORKLOAD, radius, engine=trace.engine,
+                        timeout_ms=timeout_ms,
                     )
+                    status, selected = 200, response["result"]["selected"]
                 except ServiceError as exc:
-                    records.append(
-                        {
-                            "radius": radius,
-                            "latency_s": time.perf_counter() - t0,
-                            "status": exc.status,
-                            "code": exc.code,
-                            "coalesced": False,
-                            "degraded": False,
-                            "selected": None,
-                            "server_timing": client.last_server_timing,
-                            "trace": client.last_trace,
-                        }
-                    )
-                    continue
+                    status, selected = exc.status, None
                 records.append(
                     {
                         "radius": radius,
                         "latency_s": time.perf_counter() - t0,
-                        "status": 200,
-                        "code": None,
-                        "coalesced": bool(response.get("coalesced")),
-                        "degraded": bool(response.get("degraded")),
-                        "selected": response["result"]["selected"],
+                        "status": status,
+                        "selected": selected,
                         "server_timing": client.last_server_timing,
                         "trace": client.last_trace,
                     }
@@ -184,516 +140,97 @@ def _client_worker(
         barrier.abort()
 
 
-def _run_phase(
+def _replay(host: str, port: int, trace: ZoomTrace,
+            timeout_ms: Optional[float] = None,
+            retry: Optional[RetryPolicy] = None) -> List[dict]:
+    """Run :data:`CLIENTS` step-synchronised users to completion."""
+    barrier = threading.Barrier(CLIENTS)
+    records: List[dict] = []
+    errors: List[BaseException] = []
+    threads = [
+        threading.Thread(
+            target=_client_worker,
+            args=(host, port, trace, barrier, records, errors, timeout_ms, retry),
+            name=f"disc-load-{i}",
+        )
+        for i in range(CLIENTS)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return records
+
+
+def _poll_stats(host: str, port: int, settled, wait_s: float) -> dict:
+    """``/stats`` once ``settled(stats)`` holds, or after ``wait_s``."""
+    with ServiceClient(host, port, retry=_PROBE_RETRY) as probe:
+        stats = probe.stats()
+        deadline = time.monotonic() + wait_s
+        while not settled(stats) and time.monotonic() < deadline:
+            time.sleep(0.05)
+            stats = probe.stats()
+    return stats
+
+
+def _outcome(records: List[dict], trace: ZoomTrace) -> dict:
+    """Request accounting and byte parity shared by both drivers."""
+    status_counts: Dict[str, int] = {}
+    for record in records:
+        key = str(record["status"])
+        status_counts[key] = status_counts.get(key, 0) + 1
+    successes = [r for r in records if r["status"] == 200]
+    mismatched = sorted(
+        {r["radius"] for r in successes if r["selected"] != trace.reference[r["radius"]]}
+    )
+    return {
+        "requests": len(records),
+        "expected_requests": CLIENTS * len(trace.radii),
+        "successes": len(successes),
+        "failures": len(records) - len(successes),
+        "status_counts": status_counts,
+        "byte_identical": not mismatched,
+        "mismatched_radii": mismatched,
+    }
+
+
+def replay_single(
+    trace: ZoomTrace,
     *,
-    workload: str,
-    n: int,
-    radii: List[float],
-    clients: int,
-    engine_payload: dict,
-    shared: bool,
-    cache_entries: int,
-    ttl_s: Optional[float],
-    mode: Optional[str] = None,
     timeout_ms: Optional[float] = None,
     fault_config: Optional[FaultConfig] = None,
-    client_retry: Optional[RetryPolicy] = None,
-    failure_threshold: int = 3,
-    breaker_reset_s: float = 30.0,
-    drain_wait_s: float = 10.0,
+    retry: Optional[RetryPolicy] = None,
     trace_log: Optional[str] = None,
-) -> dict:
-    """One trace replay against a freshly started server."""
+) -> Tuple[List[dict], dict]:
+    """One trace replay against a freshly started single-process server.
+
+    Returns the per-request records (radius, latency, status, selection,
+    response headers) and ``/stats`` read once the in-flight gauge has
+    drained — a timed-out request must release its executor slot within
+    one checkpoint interval, so a gauge stuck above zero means a leaked
+    computation.  The circuit breaker resets after 0.25 s, so a tripped
+    circuit half-opens within the trace instead of failing everything.
+    """
     registry = DatasetRegistry()
-    # The perf-harness workload generators pin seed=42 internally, so
-    # the bench compares like for like with BENCH_perf/BENCH_session.
     registry.register_spec(
-        workload,
-        lambda: _WORKLOADS[workload](n),
-        family=workload,
-        n=n,
+        WORKLOAD,
+        lambda: _WORKLOADS[WORKLOAD](trace.n),
+        family=WORKLOAD,
+        n=trace.n,
         seed=42,
     )
     faults = FaultInjector(fault_config) if fault_config is not None else None
-    cache = (
-        SharedCacheManager(
-            max_entries=cache_entries,
-            ttl_s=ttl_s,
-            failure_threshold=failure_threshold,
-            breaker_reset_s=breaker_reset_s,
-            faults=faults,
-        )
-        if shared
-        else None
-    )
-    state = ServiceState(
-        registry,
-        cache=cache,
-        workers=clients,
-        coalesce=shared,
-        reuse_indexes=shared,
-        faults=faults,
-    )
+    cache = SharedCacheManager(breaker_reset_s=0.25, faults=faults)
+    state = ServiceState(registry, cache=cache, workers=CLIENTS, faults=faults)
     with start_in_thread(state, trace_log=trace_log) as running:
-        # Load the dataset + build the serving index outside the timed
-        # window in the shared phase (a warm server); the no-cache
-        # phase pays index builds per request by construction.
-        registry.get(workload)
-        barrier = threading.Barrier(clients)
-        records: List[dict] = []
-        errors: List[BaseException] = []
-        threads = [
-            threading.Thread(
-                target=_client_worker,
-                args=(
-                    running.host,
-                    running.port,
-                    workload,
-                    radii,
-                    engine_payload,
-                    barrier,
-                    records,
-                    errors,
-                    timeout_ms,
-                    client_retry,
-                ),
-                name=f"disc-load-{i}",
-            )
-            for i in range(clients)
-        ]
-        t0 = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        duration = time.perf_counter() - t0
-        if errors:
-            raise errors[0]
-        # The stats probe retries through injected connection resets so
-        # a chaos run can still read its own evidence; it also waits
-        # for the in-flight gauge to drain — a timed-out request must
-        # release its executor slot within one checkpoint interval, so
-        # a gauge stuck above zero means a leaked computation.
-        probe_retry = RetryPolicy(
-            retries=8, base_s=0.01, cap_s=0.1, budget_s=2.0, statuses=(), seed=97
-        )
-        with ServiceClient(running.host, running.port, retry=probe_retry) as probe:
-            stats = probe.stats()
-            drain_deadline = time.monotonic() + drain_wait_s
-            while stats["inflight"] > 0 and time.monotonic() < drain_deadline:
-                time.sleep(0.05)
-                stats = probe.stats()
-    request_count = len(records)
-    cache_stats = stats.get("cache")
-    hit_rate = None
-    if cache_stats is not None:
-        seen = cache_stats["hits"] + cache_stats["misses"]
-        hit_rate = round(cache_stats["hits"] / seen, 4) if seen else None
-    status_counts: Dict[str, int] = {}
-    for record in records:
-        key = str(record["status"])
-        status_counts[key] = status_counts.get(key, 0) + 1
-    return {
-        "mode": mode or ("shared" if shared else "no_cache"),
-        "requests": request_count,
-        "duration_s": round(duration, 6),
-        "throughput_rps": round(request_count / duration, 3) if duration else None,
-        "latency": _latency_summary([r["latency_s"] for r in records]),
-        "computations": stats["computations"],
-        "coalesced_requests": stats["coalesced_requests"],
-        "timeouts": stats["timeouts"],
-        "degraded_responses": stats["degraded_responses"],
-        "inflight_final": stats["inflight"],
-        "status_counts": status_counts,
-        "cache": cache_stats,
-        "cache_hit_rate": hit_rate,
-        "faults_fired": (stats.get("faults") or {}).get("fired"),
-        "_records": records,
-    }
-
-
-def _run_supervised_phase(
-    *,
-    workload: str,
-    n: int,
-    radii: List[float],
-    clients: int,
-    engine_payload: dict,
-    workers: int = 4,
-    threads: Optional[int] = None,
-    cache_entries: int = 16,
-    ttl_s: Optional[float] = None,
-    mode: str = "supervised",
-    timeout_ms: Optional[float] = None,
-    faults=None,
-    client_retry: Optional[RetryPolicy] = None,
-    drain_wait_s: float = 10.0,
-    use_shm: bool = True,
-    heartbeat_s: float = 0.1,
-    crash_worker: Optional[int] = None,
-    expect_restarts: int = 0,
-    trace_log: Optional[str] = None,
-) -> dict:
-    """One trace replay against a supervised multi-worker cluster.
-
-    Same client trace as :func:`_run_phase`, but the server side is a
-    :func:`~repro.service.supervisor.start_supervised` pool: the front
-    owns the public port, workers are separate processes sharing
-    adjacency through ``/dev/shm``.  With ``crash_worker`` set, that
-    worker SIGKILLs itself on the first request it is sent (the
-    ``worker_crash`` fault, so the request is provably in flight and
-    the front must replay it; its restart is not armed), and the phase
-    waits for ``expect_restarts`` supervisor restarts before reading
-    its evidence.  After shutdown the phase records what a leak *would*
-    look like: any segment of the run still linked after the store's
-    own sweep.
-    """
-    from repro.service import shm as shm_mod
-    from repro.service.supervisor import start_supervised
-
-    if crash_worker is not None:
-        crash = {"seed": 0, "worker_crash_rate": 1.0, "worker_crash_limit": 1}
-        faults = [crash if k == crash_worker else None for k in range(workers)]
-    cluster = start_supervised(
-        [workload],
-        workers,
-        n=n,
-        seed=42,
-        threads=threads if threads is not None else max(2, clients),
-        cache_entries=cache_entries,
-        ttl_s=ttl_s,
-        faults=faults,
-        use_shm=use_shm,
-        heartbeat_s=heartbeat_s,
-        trace_log=trace_log,
-    )
-    run_id = cluster.run_id
-    killed: dict = {}
-    stats = None
-    try:
-        barrier = threading.Barrier(clients)
-        records: List[dict] = []
-        errors: List[BaseException] = []
-        client_threads = [
-            threading.Thread(
-                target=_client_worker,
-                args=(
-                    cluster.host,
-                    cluster.port,
-                    workload,
-                    radii,
-                    engine_payload,
-                    barrier,
-                    records,
-                    errors,
-                    timeout_ms,
-                    client_retry,
-                ),
-                name=f"disc-load-sup-{i}",
-            )
-            for i in range(clients)
-        ]
-        if crash_worker is not None:
-            slot = cluster.supervisor.slots[crash_worker]
-            killed["worker"] = crash_worker
-            killed["pid"] = slot.process.pid
-            # Restarts spawn from the slot's config: arm only this one.
-            slot.config = {**slot.config, "faults": None}
-        t0 = time.perf_counter()
-        for thread in client_threads:
-            thread.start()
-        for thread in client_threads:
-            thread.join()
-        duration = time.perf_counter() - t0
-        if errors:
-            raise errors[0]
-        probe_retry = RetryPolicy(
-            retries=8, base_s=0.01, cap_s=0.1, budget_s=2.0, statuses=(), seed=97
-        )
-        with ServiceClient(cluster.host, cluster.port, retry=probe_retry) as probe:
-            stats = probe.stats()
-            deadline = time.monotonic() + drain_wait_s
-            while (
-                stats["totals"]["inflight"] + stats["totals"]["inflight_front"] > 0
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.05)
-                stats = probe.stats()
-            # A chaos phase also waits for the supervisor to finish the
-            # restart it owes, so the payload carries the full story.
-            deadline = time.monotonic() + 20.0
-            while (
-                stats["supervisor"]["restarts"] < expect_restarts
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.1)
-                stats = probe.stats()
-    finally:
-        removed = cluster.stop()
-    leaked = shm_mod.list_run_segments(run_id) if run_id else []
-    status_counts: Dict[str, int] = {}
-    for record in records:
-        key = str(record["status"])
-        status_counts[key] = status_counts.get(key, 0) + 1
-    totals = stats["totals"]
-    return {
-        "mode": mode,
-        "workers": workers,
-        "requests": len(records),
-        "duration_s": round(duration, 6),
-        "throughput_rps": round(len(records) / duration, 3) if duration else None,
-        "latency": _latency_summary([r["latency_s"] for r in records]),
-        "status_counts": status_counts,
-        "computations": totals["computations"],
-        "coalesced_requests": totals["coalesced_requests"],
-        "builds_total": totals["builds"],
-        "shm_hits": totals["shm_hits"],
-        "shm_stores": totals["shm_stores"],
-        "inflight_final": totals["inflight"] + totals["inflight_front"],
-        "supervisor": stats["supervisor"],
-        "per_worker": [
-            {
-                "id": worker["id"],
-                "state": worker["state"],
-                "restarts": worker["restarts"],
-                "crashes": worker["crashes"],
-                "computations": (worker["stats"] or {}).get("computations"),
-                "builds": ((worker["stats"] or {}).get("cache") or {}).get("builds"),
-                "shm_hits": ((worker["stats"] or {}).get("cache") or {}).get(
-                    "shm_hits"
-                ),
-            }
-            for worker in stats["workers"]
-        ],
-        "killed": killed or None,
-        "segments_removed": len(removed),
-        "leaked_segments": leaked,
-        "_records": records,
-    }
-
-
-def _run_mutation_phase(
-    *,
-    workload: str,
-    n: int,
-    engine_payload: dict,
-    cache_entries: int,
-    ttl_s: Optional[float],
-    churn_fraction: float = 0.10,
-    batches: int = 10,
-) -> dict:
-    """The PR 9 mutation-trace lane: ``/mutate`` + repair vs recompute.
-
-    One deterministic churn plan (``churn_fraction`` of ``n`` inserted
-    and as much deleted, split over ``batches`` batches) is applied two
-    ways:
-
-    * **mutate** — over HTTP against a *live* dataset: each batch is
-      one ``POST /mutate`` carrying a selection-repair request, so the
-      response hands back a valid selection adapted from the one the
-      client already holds (wall-clock includes the incremental
-      adjacency maintenance and scoped cache migration);
-    * **recompute** — the immutable alternative: re-register the
-      churned point set as a fresh dataset and run a full
-      :func:`~repro.api.disc_select` from scratch, every batch.
-
-    The final repaired selection is re-checked with the independent
-    :func:`~repro.core.verify.verify_disc` checker (both Definition 1
-    conditions), and each lane records the Jaccard similarity between
-    consecutive selections — repair exists to maximise exactly that
-    stability, recompute maximises nothing of the sort.
-    """
-    from repro.api import disc_select
-    from repro.core.verify import verify_disc
-    from repro.live.repair import jaccard
-
-    data = _WORKLOADS[workload](n)
-    radius = bench_radius(workload, n)
-    dim = data.points.shape[1]
-    rng = np.random.default_rng(1729)
-    per_batch = max(1, int(n * churn_fraction / batches))
-
-    # Build the shared churn plan first: inserts drawn inside the
-    # workload's bounding box, deletes over the still-alive ids (which
-    # include earlier inserts).  Both lanes replay the identical plan.
-    lo, hi = data.points.min(axis=0), data.points.max(axis=0)
-    plan_alive = np.ones(n, dtype=bool)
-    plan: List[tuple] = []
-    for _ in range(batches):
-        inserts = lo + rng.random((per_batch, dim)) * (hi - lo)
-        deletes = np.sort(
-            rng.choice(np.flatnonzero(plan_alive), size=per_batch, replace=False)
-        )
-        plan_alive[deletes] = False
-        plan_alive = np.concatenate([plan_alive, np.ones(per_batch, dtype=bool)])
-        plan.append((inserts, deletes))
-
-    # ---- mutate lane: HTTP /mutate + repair against a live dataset --
-    registry = DatasetRegistry()
-    registry.register_array(workload, data.points, data.metric)
-    registry.promote_live(workload)
-    state = ServiceState(
-        registry,
-        cache=SharedCacheManager(max_entries=cache_entries, ttl_s=ttl_s),
-        workers=2,
-        coalesce=True,
-        reuse_indexes=True,
-    )
-    repair_jaccards: List[float] = []
-    batch_latencies: List[float] = []
-    migrated_total = 0
-    try:
-        with start_in_thread(state) as running:
-            with ServiceClient(running.host, running.port) as client:
-                base = client.select(workload, radius, engine=engine_payload)
-                initial = list(base["selected_global"])
-                previous = initial
-                t0 = time.perf_counter()
-                for inserts, deletes in plan:
-                    batch_t0 = time.perf_counter()
-                    response = client.mutate(
-                        workload,
-                        inserts=inserts.tolist(),
-                        deletes=[int(i) for i in deletes],
-                        repair={"radius": radius, "previous": previous},
-                    )
-                    batch_latencies.append(time.perf_counter() - batch_t0)
-                    previous = response["repair"]["selected"]
-                    repair_jaccards.append(response["repair"]["jaccard_previous"])
-                    migrated_total += response["migrated_buckets"]
-                mutate_s = time.perf_counter() - t0
-            # Independent post-hoc check of the final repaired selection
-            # (out of band — never trust the lane being measured).
-            live = state.registry.get_live(workload)
-            handle = live.snapshot_handle()
-            local_of = {
-                int(g): i for i, g in enumerate(handle.spec["alive_ids"])
-            }
-            report = verify_disc(
-                handle.dataset.points,
-                handle.dataset.metric,
-                [local_of[int(g)] for g in previous],
-                radius,
-            )
-            final_version = live.version
-    finally:
-        state.close()
-
-    # ---- recompute lane: re-register + full selection per batch -----
-    points_all = np.array(data.points, dtype=float)
-    alive = np.ones(n, dtype=bool)
-    prev_global = np.asarray(initial, dtype=np.int64)
-    recompute_jaccards: List[float] = []
-    recompute_s = 0.0
-    base_registry = DatasetRegistry()
-    for version, (inserts, deletes) in enumerate(plan, start=1):
-        points_all = np.concatenate([points_all, inserts])
-        alive = np.concatenate([alive, np.ones(inserts.shape[0], dtype=bool)])
-        alive[deletes] = False
-        t0 = time.perf_counter()
-        handle = base_registry.register_array(
-            f"{workload}-recompute-v{version}", points_all[alive], data.metric
-        )
-        result = disc_select(
-            handle.dataset,
-            radius,
-            engine=engine_payload["name"],
-            engine_options=engine_payload["options"],
-        )
-        recompute_s += time.perf_counter() - t0
-        alive_ids = np.flatnonzero(alive)
-        selected_global = alive_ids[np.asarray(result.selected, dtype=np.int64)]
-        recompute_jaccards.append(jaccard(selected_global, prev_global))
-        prev_global = selected_global
-
-    repair_mean = round(float(np.mean(repair_jaccards)), 4)
-    recompute_mean = round(float(np.mean(recompute_jaccards)), 4)
-    speedup = round(recompute_s / mutate_s, 3) if mutate_s else None
-    return {
-        "mode": "mutation",
-        "radius": round(radius, 6),
-        "batches": batches,
-        "churn_fraction": churn_fraction,
-        "churn_per_batch": per_batch,
-        "inserted_total": per_batch * batches,
-        "deleted_total": per_batch * batches,
-        "final_version": final_version,
-        "final_selection_size": len(previous),
-        "verified_disc_diverse": bool(report.is_disc_diverse),
-        "migrated_buckets_total": migrated_total,
-        "mutate": {
-            "duration_s": round(mutate_s, 6),
-            "latency": _latency_summary(batch_latencies),
-            "jaccard_mean": repair_mean,
-            "jaccard_min": round(float(np.min(repair_jaccards)), 4),
-        },
-        "recompute": {
-            "duration_s": round(recompute_s, 6),
-            "jaccard_mean": recompute_mean,
-            "jaccard_min": round(float(np.min(recompute_jaccards)), 4),
-        },
-        "speedup_vs_recompute": speedup,
-        "meets_5x": bool(speedup is not None and speedup >= 5.0),
-        "repair_at_least_as_stable": bool(repair_mean >= recompute_mean),
-    }
-
-
-def _trace_setup(workload: str, n: int, pattern: Optional[List[float]]):
-    """Radii, engine payload and fault-free reference selections."""
-    from repro.api import disc_select
-
-    if workload not in _WORKLOADS:
-        raise ValueError(
-            f"unknown workload {workload!r}; choose from {sorted(_WORKLOADS)}"
-        )
-    base = bench_radius(workload, n)
-    multipliers = list(pattern or SESSION_ZOOM_PATTERN)
-    radii = [base * m for m in multipliers]
-    # The grid engine with radius-sized cells is the serving workhorse
-    # (same configuration as the session benchmark, so the two JSONs
-    # compare like for like).
-    engine_payload = {"name": "grid", "options": {"cell_size": base}}
-    data = _WORKLOADS[workload](n)
-    reference: Dict[float, List[int]] = {}
-    for radius in sorted(set(radii)):
-        reference[radius] = [
-            int(i)
-            for i in disc_select(
-                data, radius, engine="grid", engine_options={"cell_size": base}
-            ).selected
-        ]
-    return radii, engine_payload, reference
-
-
-def _trace_log_evidence(paths: List[str]) -> dict:
-    """Read back emitted trace JSONL: record/problem counts + trace ids.
-
-    ``paths`` may include per-worker logs (``<path>.w<k>``) that were
-    never created (a worker that served nothing); those are skipped
-    rather than counted as failures.
-    """
-    records = 0
-    problems = 0
-    trace_ids = set()
-    phases_seen = set()
-    for path in paths:
-        if not os.path.exists(path):
-            continue
-        for record in iter_trace_records(path):
-            records += 1
-            problems += len(validate_trace_record(record))
-            trace_ids.add(record.get("trace_id"))
-            stack = list(record.get("spans") or [])
-            while stack:
-                span = stack.pop()
-                phases_seen.add(span.get("name"))
-                stack.extend(span.get("children") or [])
-    return {
-        "records": records,
-        "invalid_records": problems,
-        "unique_trace_ids": len(trace_ids),
-        "phases_seen": sorted(p for p in phases_seen if p),
-    }
+        # Load the dataset outside the replay (a warm server).
+        registry.get(WORKLOAD)
+        records = _replay(running.host, running.port, trace, timeout_ms, retry)
+        stats = _poll_stats(running.host, running.port,
+                            lambda s: s["inflight"] == 0, 10.0)
+    return records, stats
 
 
 def _correlate_kill9_traces(trace_log: str, workers: int) -> dict:
@@ -706,13 +243,11 @@ def _correlate_kill9_traces(trace_log: str, workers: int) -> dict:
     record for the *same* trace id — the join the trace ids exist for.
     """
     worker_traces: Dict[str, set] = {}
-    worker_records = 0
     for k in range(workers):
         path = f"{trace_log}.w{k}"
         if not os.path.exists(path):
             continue
         for record in iter_trace_records(path):
-            worker_records += 1
             worker_traces.setdefault(record.get("trace_id"), set()).add(k)
     front_records = 0
     replayed = None
@@ -732,278 +267,21 @@ def _correlate_kill9_traces(trace_log: str, workers: int) -> dict:
             replayed = {
                 "trace_id": record.get("trace_id"),
                 "proxy_attempts": len(proxies),
-                "attempt_workers": [
-                    (span.get("annotations") or {}).get("worker")
-                    for span in proxies
-                ],
                 "served_by_workers": sorted(served_by),
-                "replays": (record.get("annotations") or {}).get("replays"),
             }
     return {
         "front_records": front_records,
-        "worker_records": worker_records,
         "correlated": replayed is not None,
         "replayed_request": replayed,
-    }
-
-
-def _check_parity(records: List[dict], reference: Dict[float, List[int]], mode: str):
-    """Every 200 must match the direct ``disc_select`` answer exactly."""
-    mismatches = [
-        r["radius"]
-        for r in records
-        if r["status"] == 200 and r["selected"] != reference[r["radius"]]
-    ]
-    if mismatches:
-        raise AssertionError(
-            f"served selections diverged from disc_select at radii "
-            f"{sorted(set(mismatches))} ({mode} phase)"
-        )
-
-
-def run_service_bench(
-    workload: str = "clustered",
-    n: int = 20_000,
-    *,
-    clients: int = 4,
-    quick: bool = False,
-    pattern: Optional[List[float]] = None,
-    cache_entries: int = 16,
-    ttl_s: Optional[float] = None,
-    workers: int = 4,
-) -> dict:
-    """Replay a multi-client repeated-radius zoom trace: shared vs stateless.
-
-    All phases serve the identical trace over HTTP; the shared phase
-    turns on the cross-session cache + coalescing, the no-cache phase
-    is the stateless baseline, and the deadline phase re-runs the
-    shared configuration under a per-request ``timeout_ms`` sized at
-    the no-cache p90 — so the budget genuinely binds on the slowest
-    builds while most requests complete.  The supervised phase re-runs
-    the shared trace against a ``workers``-process pool (shared-memory
-    adjacency, failover front) and reports the cluster-wide build
-    accounting; its throughput is only expected to beat the
-    single-process phase when the machine actually has the cores
-    (``multiworker.core_bound`` records when it does not).  Successful
-    selections are verified against direct :func:`repro.api.disc_select`
-    calls before anything is reported.
-    """
-    if quick:
-        n = min(n, 4000)
-    radii, engine_payload, reference = _trace_setup(workload, n, pattern)
-    common = dict(
-        workload=workload,
-        n=n,
-        radii=radii,
-        clients=clients,
-        engine_payload=engine_payload,
-        cache_entries=cache_entries,
-        ttl_s=ttl_s,
-    )
-
-    phases = {}
-    for shared in (False, True):
-        phase = _run_phase(shared=shared, **common)
-        records = phase.pop("_records")
-        _check_parity(records, reference, phase["mode"])
-        phase["parity"] = True
-        phases[phase["mode"]] = phase
-
-    no_cache = phases["no_cache"]
-    shared_phase = phases["shared"]
-
-    # Tracing-overhead lane (PR 10): the identical shared-configuration
-    # trace with the span sink enabled.  One pair of runs cannot answer
-    # "what does tracing cost?" — phase-to-phase p50 jitter from OS
-    # scheduling dwarfs a per-request file append — so the lane
-    # alternates off/on replays and compares the *minimum* p50 per
-    # lane: additive noise inflates individual runs but a real tracing
-    # cost shifts every run, minimum included.  The acceptance bar is
-    # <= 5% added p50 latency; the JSONL the runs emit is read back
-    # through the schema validator so the overhead number can never
-    # come from a sink that silently wrote garbage.
-    trace_dir = tempfile.mkdtemp(prefix="repro-bench-trace-")
-    trace_log = os.path.join(trace_dir, "trace.jsonl")
-    traced_phase = _run_phase(
-        shared=True, mode="traced", trace_log=trace_log, **common
-    )
-    traced_records = traced_phase.pop("_records")
-    _check_parity(traced_records, reference, "traced")
-    traced_phase["parity"] = True
-    evidence = _trace_log_evidence([trace_log, f"{trace_log}.1"])
-    off_p50s = [shared_phase["latency"]["p50_ms"]]
-    on_p50s = [traced_phase["latency"]["p50_ms"]]
-    # Three samples per lane, mirror-ordered overall (off on | off on
-    # on off), so slow monotone drift (thermal, page cache, CPU
-    # governor) biases neither lane's minimum.  At full scale a single
-    # phase p50 swings +/-13% run to run under 4-way client
-    # concurrency, an order of magnitude above any plausible tracing
-    # cost — the minimum over three runs is the stable uncontended
-    # floor per lane.
-    for i, extra_mode in enumerate(("off", "on", "on", "off")):
-        extra_log = (
-            os.path.join(trace_dir, f"trace-repeat{i}.jsonl")
-            if extra_mode == "on"
-            else None
-        )
-        extra = _run_phase(
-            shared=True,
-            mode=f"traced_{extra_mode}",
-            trace_log=extra_log,
-            **common,
-        )
-        extra.pop("_records")
-        (on_p50s if extra_mode == "on" else off_p50s).append(
-            extra["latency"]["p50_ms"]
-        )
-    p50_off = min(off_p50s)
-    p50_on = min(on_p50s)
-    overhead_pct = (
-        round((p50_on - p50_off) / p50_off * 100.0, 2) if p50_off else None
-    )
-    tracing = {
-        "p50_ms_disabled": p50_off,
-        "p50_ms_enabled": p50_on,
-        "p50_ms_disabled_runs": off_p50s,
-        "p50_ms_enabled_runs": on_p50s,
-        "overhead_pct": overhead_pct,
-        "target_pct": 5.0,
-        "within_target": bool(overhead_pct is not None and overhead_pct <= 5.0),
-        "trace_records": evidence["records"],
-        "invalid_records": evidence["invalid_records"],
-        "phases_seen": evidence["phases_seen"],
-        "responses_with_server_timing": sum(
-            1 for r in traced_records if r.get("server_timing")
-        ),
-        "responses_with_trace_header": sum(
-            1 for r in traced_records if r.get("trace")
-        ),
-    }
-    phases["traced"] = traced_phase
-    shutil.rmtree(trace_dir, ignore_errors=True)
-
-    # Deadline phase: budget each request at the stateless p90 (floored
-    # so trivial quick-mode workloads are not all cancelled).  Timed-out
-    # requests must come back 408 within one checkpoint interval — the
-    # p99-over-everything bound below is the enforcement evidence.
-    timeout_ms = max(50.0, no_cache["latency"]["p90_ms"])
-    deadline_phase = _run_phase(shared=True, mode="deadline", timeout_ms=timeout_ms, **common)
-    records = deadline_phase.pop("_records")
-    _check_parity(records, reference, "deadline")
-    deadline_phase["parity"] = True
-    deadline_phase["timeout_ms"] = round(timeout_ms, 3)
-    deadline_phase["deadline_slack_ms"] = DEADLINE_SLACK_MS
-    deadline_phase["timed_out_requests"] = sum(
-        1 for r in records if r["status"] in (408, 504)
-    )
-    deadline_phase["within_budget"] = bool(
-        deadline_phase["latency"]["p99_ms"] <= timeout_ms + DEADLINE_SLACK_MS
-    )
-    phases["deadline"] = deadline_phase
-
-    # Supervised multi-worker phase: same trace, N processes, one
-    # shared-memory build per radius cluster-wide.
-    supervised = _run_supervised_phase(
-        workload=workload,
-        n=n,
-        radii=radii,
-        clients=clients,
-        engine_payload=engine_payload,
-        workers=workers,
-        cache_entries=cache_entries,
-        ttl_s=ttl_s,
-    )
-    records = supervised.pop("_records")
-    _check_parity(records, reference, "supervised")
-    supervised["parity"] = True
-    phases["supervised"] = supervised
-
-    # Mutation-trace lane: live dataset churn via /mutate + repair vs
-    # the immutable re-register + recompute alternative (PR 9).
-    mutation = _run_mutation_phase(
-        workload=workload,
-        n=n,
-        engine_payload=engine_payload,
-        cache_entries=cache_entries,
-        ttl_s=ttl_s,
-    )
-
-    speedup = (
-        round(no_cache["duration_s"] / shared_phase["duration_s"], 3)
-        if shared_phase["duration_s"]
-        else None
-    )
-    cpu_count = os.cpu_count() or 1
-    unique_radii = len(set(radii))
-    shared_rps = shared_phase["throughput_rps"] or 0.0
-    return {
-        "schema": "bench-service-v5",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "repro": __version__,
-        "cpu_count": cpu_count,
-        "workload": workload,
-        "n": n,
-        "clients": clients,
-        "requests_per_phase": clients * len(radii),
-        "radii": [round(r, 6) for r in radii],
-        "unique_radii": unique_radii,
-        "engine": engine_payload,
-        "phases": phases,
-        "speedup": speedup,
-        "cache_hit_rate": shared_phase["cache_hit_rate"],
-        "coalesced": shared_phase["computations"] < shared_phase["requests"],
-        "parity": all(p["parity"] for p in phases.values()),
-        "deadline": {
-            "timeout_ms": deadline_phase["timeout_ms"],
-            "slack_ms": DEADLINE_SLACK_MS,
-            "p99_ms": deadline_phase["latency"]["p99_ms"],
-            "within_budget": deadline_phase["within_budget"],
-            "timed_out_requests": deadline_phase["timed_out_requests"],
-            "degraded_responses": deadline_phase["degraded_responses"],
-        },
-        "tracing": tracing,
-        "multiworker": {
-            "workers": workers,
-            "cpu_count": cpu_count,
-            # On a box with fewer cores than workers the processes time-
-            # slice one CPU and the IPC hop is pure overhead — scaling
-            # claims only apply when this is False.
-            "core_bound": cpu_count < workers,
-            "throughput_rps": supervised["throughput_rps"],
-            "speedup_vs_single_process": (
-                round(supervised["throughput_rps"] / shared_rps, 3)
-                if shared_rps
-                else None
-            ),
-            "builds_total": supervised["builds_total"],
-            "unique_radii": unique_radii,
-            "builds_equal_unique_radii": (
-                supervised["builds_total"] == unique_radii
-            ),
-            "shm_hits": supervised["shm_hits"],
-            "restarts": supervised["supervisor"]["restarts"],
-            "replays": supervised["supervisor"]["replays"],
-            "leaked_segments": supervised["leaked_segments"],
-        },
-        "mutation": mutation,
     }
 
 
 def run_chaos_trace(
     fault_config: Optional[Union[FaultConfig, dict]] = None,
     *,
-    workload: str = "clustered",
     n: int = 2_000,
-    clients: int = 4,
-    pattern: Optional[List[float]] = None,
     timeout_ms: Optional[float] = None,
     retry: Optional[RetryPolicy] = None,
-    cache_entries: int = 16,
-    ttl_s: Optional[float] = None,
-    failure_threshold: int = 3,
-    breaker_reset_s: float = 0.25,
-    drain_wait_s: float = 10.0,
 ) -> dict:
     """The 4-client zoom trace under injected faults, vs the clean run.
 
@@ -1011,17 +289,11 @@ def run_chaos_trace(
     :class:`~repro.service.faults.FaultInjector` wired into both the
     shared cache (build failures, slow builds, corruption) and the
     compute path (worker stalls, connection resets), replays the zoom
-    trace with retry-enabled clients, and reports:
-
-    * per-status outcome counts (a hung request would instead trip the
-      watchdog — every request resolves to *some* status);
-    * ``byte_identical`` — every 200, degraded or not, matched the
-      fault-free :func:`repro.api.disc_select` reference exactly;
-    * ``inflight_final`` — the ``/stats`` in-flight gauge after the
-      trace, which must drain to 0 (cancelled work released its slot).
-
-    ``breaker_reset_s`` defaults low so a tripped circuit half-opens
-    within the trace instead of failing everything for 30s.
+    trace with retry-enabled clients, and reports the :func:`_outcome`
+    accounting plus the ``/stats`` computation count, cache info,
+    timeout count, in-flight gauge and fired faults, and
+    ``max_error_latency_ms`` — the slowest non-200 answer (a 408/504
+    must arrive within ``timeout_ms`` + :data:`DEADLINE_SLACK_MS`).
     """
     if isinstance(fault_config, dict):
         fault_config = FaultConfig.from_dict(fault_config)
@@ -1036,228 +308,83 @@ def run_chaos_trace(
             statuses=(503,),
             seed=fault_config.seed,
         )
-    radii, engine_payload, reference = _trace_setup(workload, n, pattern)
-    phase = _run_phase(
-        workload=workload,
-        n=n,
-        radii=radii,
-        clients=clients,
-        engine_payload=engine_payload,
-        shared=True,
-        cache_entries=cache_entries,
-        ttl_s=ttl_s,
-        mode="chaos",
-        timeout_ms=timeout_ms,
-        fault_config=fault_config,
-        client_retry=retry,
-        failure_threshold=failure_threshold,
-        breaker_reset_s=breaker_reset_s,
-        drain_wait_s=drain_wait_s,
+    trace = zoom_trace(n)
+    records, stats = replay_single(
+        trace, timeout_ms=timeout_ms, fault_config=fault_config, retry=retry
     )
-    records = phase.pop("_records")
-    successes = [r for r in records if r["status"] == 200]
-    mismatched = sorted(
-        {
-            r["radius"]
-            for r in successes
-            if r["selected"] != reference[r["radius"]]
-        }
-    )
+    errors_ms = [r["latency_s"] * 1e3 for r in records if r["status"] != 200]
     return {
-        "faults": fault_config.to_dict(),
-        "requests": len(records),
-        "expected_requests": clients * len(radii),
-        "successes": len(successes),
-        "failures": len(records) - len(successes),
-        "status_counts": phase["status_counts"],
-        "byte_identical": not mismatched,
-        "mismatched_radii": mismatched,
-        "degraded_responses": phase["degraded_responses"],
-        "timeouts": phase["timeouts"],
-        "inflight_final": phase["inflight_final"],
-        "faults_fired": phase["faults_fired"],
-        "duration_s": phase["duration_s"],
-        "latency": phase["latency"],
-        "cache": phase["cache"],
+        **_outcome(records, trace),
+        "computations": stats["computations"],
+        "cache": stats["cache"],
+        "timeouts": stats["timeouts"],
+        "inflight_final": stats["inflight"],
+        "faults_fired": (stats.get("faults") or {}).get("fired"),
+        "max_error_latency_ms": max(errors_ms, default=None),
     }
 
 
-def run_kill9_trace(
-    *,
-    workload: str = "clustered",
-    n: int = 2_000,
-    clients: int = 4,
-    workers: int = 2,
-    pattern: Optional[List[float]] = None,
-    kill_worker_index: int = 0,
-    drain_wait_s: float = 10.0,
-) -> dict:
+def run_kill9_trace(n: int = 2_000) -> dict:
     """SIGKILL a worker mid-trace; the clients must never notice.
 
-    The hardest supervised-serving scenario: a ``kill -9`` lands on a
-    worker while the zoom trace is in flight.  Worker
-    ``kill_worker_index`` kills itself on the first request it is sent
-    (the ``worker_crash`` fault at dispatch), so the kill always lands
-    on an in-flight request, however fast the host runs the trace.  The
-    front detects the vanished connection, replays the request on a
-    surviving worker, the supervisor restarts the corpse, and shutdown
-    sweeps every shared-memory segment.  The payload reports:
-
-    * ``failures`` — non-200 outcomes (must be 0: a crash shows up as
-      one slow response, never an error);
-    * ``byte_identical`` — every response matched the fault-free
-      :func:`repro.api.disc_select` reference;
-    * ``restarts`` — the supervisor restarted the killed worker;
-    * ``inflight_final`` — the cluster-wide gauge drained to 0;
-    * ``leaked_segments`` — segments of the run still linked after the
-      shutdown sweep (must be empty: ``kill -9`` cannot leak
-      ``/dev/shm``);
-    * ``trace_correlation`` — the run is replayed with the trace sink
-      on, and one trace id must tell the whole story across processes:
-      the front's record for a replayed request carries >= 2 ``proxy``
-      attempt spans (the one that died with the worker, then the
-      replay), and the worker that finally served it emitted a record
-      under the *same* trace id to its own log.  The killed worker, by
-      construction, emitted nothing.
+    Worker 0 of :data:`WORKERS` kills itself on the first request it is
+    sent (the ``worker_crash`` fault at dispatch), so the kill always
+    lands on an in-flight request.  The front replays it on a surviving
+    worker, the supervisor restarts the corpse (unarmed), and shutdown
+    sweeps every shared-memory segment.  Besides the :func:`_outcome`
+    accounting the payload reports the killed pid, the supervisor's
+    ``restarts``/``crashes``, the drained in-flight gauge, the run's
+    ``leaked_segments`` after the sweep, and ``trace_correlation``: the
+    front's record of a replayed request (>= 2 ``proxy`` spans) joined
+    to the worker record of the same trace id.
     """
-    radii, engine_payload, reference = _trace_setup(workload, n, pattern)
+    from repro.service import shm as shm_mod
+    from repro.service.supervisor import start_supervised
+
+    trace = zoom_trace(n)
     trace_dir = tempfile.mkdtemp(prefix="repro-kill9-trace-")
     trace_log = os.path.join(trace_dir, "trace.jsonl")
+    crash = {"seed": 0, "worker_crash_rate": 1.0, "worker_crash_limit": 1}
     try:
-        phase = _run_supervised_phase(
-            workload=workload,
+        cluster = start_supervised(
+            [WORKLOAD],
+            WORKERS,
             n=n,
-            radii=radii,
-            clients=clients,
-            engine_payload=engine_payload,
-            workers=workers,
-            mode="kill9",
-            crash_worker=kill_worker_index,
-            expect_restarts=1,
-            drain_wait_s=drain_wait_s,
+            seed=42,
+            threads=CLIENTS,
+            faults=[crash] + [None] * (WORKERS - 1),
+            heartbeat_s=0.1,
             trace_log=trace_log,
         )
-        correlation = _correlate_kill9_traces(trace_log, workers)
+        try:
+            slot = cluster.supervisor.slots[0]
+            killed = {"worker": 0, "pid": slot.process.pid}
+            # Restarts spawn from the slot's config: arm only this one.
+            slot.config = {**slot.config, "faults": None}
+            records = _replay(cluster.host, cluster.port, trace)
+            # Wait for the gauge to drain and for the restart the
+            # supervisor owes, so the payload carries the full story.
+            stats = _poll_stats(
+                cluster.host,
+                cluster.port,
+                lambda s: (
+                    s["totals"]["inflight"] + s["totals"]["inflight_front"] == 0
+                    and s["supervisor"]["restarts"] >= 1
+                ),
+                30.0,
+            )
+        finally:
+            cluster.stop()
+        correlation = _correlate_kill9_traces(trace_log, WORKERS)
     finally:
         shutil.rmtree(trace_dir, ignore_errors=True)
-    records = phase.pop("_records")
-    successes = [r for r in records if r["status"] == 200]
-    mismatched = sorted(
-        {
-            r["radius"]
-            for r in successes
-            if r["selected"] != reference[r["radius"]]
-        }
-    )
+    totals = stats["totals"]
     return {
-        "workers": workers,
-        "requests": len(records),
-        "expected_requests": clients * len(radii),
-        "successes": len(successes),
-        "failures": len(records) - len(successes),
-        "status_counts": phase["status_counts"],
-        "byte_identical": not mismatched,
-        "mismatched_radii": mismatched,
-        "killed": phase["killed"],
-        "restarts": phase["supervisor"]["restarts"],
-        "crashes": phase["supervisor"]["crashes"],
-        "replays": phase["supervisor"]["replays"],
-        "inflight_final": phase["inflight_final"],
-        "leaked_segments": phase["leaked_segments"],
-        "segments_removed": phase["segments_removed"],
-        "duration_s": phase["duration_s"],
-        "latency": phase["latency"],
+        **_outcome(records, trace),
+        "killed": killed,
+        "restarts": stats["supervisor"]["restarts"],
+        "crashes": stats["supervisor"]["crashes"],
+        "inflight_final": totals["inflight"] + totals["inflight_front"],
+        "leaked_segments": shm_mod.list_run_segments(cluster.run_id),
         "trace_correlation": correlation,
     }
-
-
-def render_service_table(payload: dict) -> str:
-    """Human-readable summary of one :func:`run_service_bench` payload."""
-    rows = []
-    for mode in ("no_cache", "shared", "traced", "deadline", "supervised"):
-        phase = payload["phases"].get(mode)
-        if phase is None:
-            continue
-        rows.append(
-            [
-                mode,
-                phase["duration_s"],
-                phase["throughput_rps"],
-                phase["latency"]["p50_ms"],
-                phase["latency"]["p99_ms"],
-                phase["computations"],
-                phase["coalesced_requests"],
-                (
-                    "-"
-                    if phase.get("cache_hit_rate") is None
-                    else phase["cache_hit_rate"]
-                ),
-            ]
-        )
-    table = format_table(
-        f"Service load — {payload['workload']} (n={payload['n']}, "
-        f"{payload['clients']} clients x {len(payload['radii'])} zoom steps, "
-        f"{payload['unique_radii']} unique radii)",
-        ["phase", "seconds", "req/s", "p50 ms", "p99 ms", "computed",
-         "coalesced", "hit rate"],
-        rows,
-        float_fmt="{:.3f}",
-    )
-    table += (
-        f"\nspeedup (shared vs no-cache): {payload['speedup']}x | "
-        f"parity with disc_select: {payload['parity']}"
-    )
-    tracing = payload.get("tracing")
-    if tracing is not None:
-        table += (
-            f"\ntracing overhead: p50 {tracing['p50_ms_disabled']}ms off -> "
-            f"{tracing['p50_ms_enabled']}ms on = {tracing['overhead_pct']}% "
-            f"(target <= {tracing['target_pct']}%), "
-            f"{tracing['trace_records']} trace records "
-            f"({tracing['invalid_records']} invalid)"
-        )
-    deadline = payload.get("deadline")
-    if deadline is not None:
-        table += (
-            f"\ndeadline phase: timeout {deadline['timeout_ms']}ms, "
-            f"p99 {deadline['p99_ms']}ms "
-            f"(within budget: {deadline['within_budget']}), "
-            f"{deadline['timed_out_requests']} timed out, "
-            f"{deadline['degraded_responses']} degraded"
-        )
-    multiworker = payload.get("multiworker")
-    if multiworker is not None:
-        table += (
-            f"\nsupervised phase: {multiworker['workers']} workers on "
-            f"{multiworker['cpu_count']} cores"
-            f"{' (core-bound)' if multiworker['core_bound'] else ''}, "
-            f"{multiworker['speedup_vs_single_process']}x vs single process, "
-            f"builds {multiworker['builds_total']}/"
-            f"{multiworker['unique_radii']} unique radii cluster-wide, "
-            f"{multiworker['shm_hits']} shm attaches, "
-            f"{multiworker['restarts']} restarts"
-        )
-    mutation = payload.get("mutation")
-    if mutation is not None:
-        table += (
-            f"\nmutation lane: {mutation['batches']} batches x "
-            f"{mutation['churn_per_batch']} churn "
-            f"({mutation['churn_fraction']:.0%} of n), "
-            f"/mutate+repair {mutation['mutate']['duration_s']:.3f}s vs "
-            f"recompute {mutation['recompute']['duration_s']:.3f}s = "
-            f"{mutation['speedup_vs_recompute']}x, "
-            f"jaccard {mutation['mutate']['jaccard_mean']} vs "
-            f"{mutation['recompute']['jaccard_mean']}, "
-            f"verified: {mutation['verified_disc_diverse']}"
-        )
-    return table
-
-
-def write_service_json(payload: dict, path: Optional[str] = None) -> str:
-    """Persist the payload as ``results/BENCH_service.json`` (or ``path``)."""
-    if path is None:
-        path = os.path.join(results_dir(), "BENCH_service.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path

@@ -113,6 +113,29 @@ class ServiceUnavailable(RuntimeError):
     """Raised internally when admission control rejects a request."""
 
 
+#: Paths a metric label carries verbatim; any other path reads ``other``.
+_METRIC_PATHS = frozenset(
+    ("/select", "/zoom", "/mutate", "/stats", "/healthz", "/datasets", "/metrics")
+)
+
+
+def metric_path(path: str) -> str:
+    """Bound a path label's cardinality: a known route or ``other``."""
+    return path if path in _METRIC_PATHS else "other"
+
+
+def metric_endpoint(method: str, path: str) -> str:
+    """The ``"<method> <path>"`` key of the per-endpoint request counters.
+
+    Both halves are bounded (method ``GET``/``POST``/``other``, path
+    through :func:`metric_path`), so no client input can grow
+    ``/stats`` or ``/metrics``.
+    """
+    if method not in ("GET", "POST"):
+        method = "other"
+    return f"{method} {metric_path(path)}"
+
+
 def _json_bytes(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
@@ -350,7 +373,7 @@ class DiscServer:
                 method, path, keep_alive, body, headers = parsed
                 self._active_requests += 1
                 try:
-                    self._m_requests.inc(endpoint=f"{method} {path[:32]}")
+                    self._m_requests.inc(endpoint=metric_endpoint(method, path))
                     with obs_trace.request_scope(
                         "request",
                         header=headers.get("x-repro-trace"),
@@ -366,7 +389,7 @@ class DiscServer:
                     self.state.count_response(status)
                     self._m_responses.inc(status=status)
                     self._m_duration.observe(
-                        root.elapsed_ms() / 1000.0, path=self._metric_path(path)
+                        root.elapsed_ms() / 1000.0, path=metric_path(path)
                     )
                     await self._write_response(
                         writer, status, payload, keep_alive,
@@ -407,14 +430,6 @@ class DiscServer:
         await write_http_response(
             writer, status, payload, keep_alive, extra_headers=extra_headers
         )
-
-    @staticmethod
-    def _metric_path(path: str) -> str:
-        """Bound the duration histogram's label cardinality."""
-        if path in ("/select", "/zoom", "/mutate", "/stats", "/healthz",
-                    "/datasets", "/metrics"):
-            return path
-        return "other"
 
     def _trace_headers(self, root: obs_trace.Span):
         """``X-Repro-Trace`` + ``Server-Timing`` for one finished root.
@@ -461,8 +476,7 @@ class DiscServer:
             return 400, error_body("bad_request", "invalid Content-Length header")
         if isinstance(body, dict) and body.get("\x00invalid-json"):
             return 400, error_body("bad_request", "request body is not valid JSON")
-        endpoint = f"{method} {path}"
-        self.state.count_request(endpoint)
+        self.state.count_request(metric_endpoint(method, path))
         try:
             if method == "GET":
                 if path == "/healthz":
@@ -643,12 +657,8 @@ class DiscServer:
         Returns ``(result, coalesced)``.  The leader owns the executor
         job; followers await the leader's future.  Retries carrying an
         ``idempotency_key`` land here twice: a key whose computation is
-        still in flight joins it (even with coalescing disabled — a
-        retry is by definition the same logical request), and a key
-        that already completed replays the stored response without
-        touching the executor.  With coalescing disabled every *new*
-        request is its own leader (the load harness measures exactly
-        this delta).
+        still in flight joins it, and a key that already completed
+        replays the stored response without touching the executor.
         """
         state = self.state
         if idem is not None:
@@ -661,11 +671,10 @@ class DiscServer:
             if existing is not None:
                 state.count_coalesced()
                 return await self._await_follower(existing, token), True
-        if state.coalesce:
-            existing = self._inflight.get(key)
-            if existing is not None:
-                state.count_coalesced()
-                return await self._await_follower(existing, token), True
+        existing = self._inflight.get(key)
+        if existing is not None:
+            state.count_coalesced()
+            return await self._await_follower(existing, token), True
         if (
             state.max_inflight is not None
             and state.current_inflight() >= state.max_inflight
@@ -676,8 +685,7 @@ class DiscServer:
             )
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        if state.coalesce:
-            self._inflight[key] = future
+        self._inflight[key] = future
         if idem is not None:
             self._idem_inflight[idem] = future
         state.adjust_inflight(1)
@@ -707,7 +715,7 @@ class DiscServer:
             return result, False
         finally:
             state.adjust_inflight(-1)
-            if state.coalesce and self._inflight.get(key) is future:
+            if self._inflight.get(key) is future:
                 del self._inflight[key]
             if idem is not None and self._idem_inflight.get(idem) is future:
                 del self._idem_inflight[idem]

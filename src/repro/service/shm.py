@@ -17,7 +17,10 @@ Ownership protocol (``builds == unique radii`` cluster-wide)
     segment says "building".  A claimer that dies mid-build (even
     ``kill -9``) is detected by a pid liveness probe on the recorded
     owner, and the claim is *taken over*: the stale segments are
-    unlinked and the next process re-claims.
+    unlinked and the next process re-claims.  Creating the meta segment
+    and writing its header are two steps, so a header that is not yet
+    valid also means "building"; it is taken over only once it has
+    stayed invalid for ``_STAMP_GRACE_S``.
 
 Checksum stamps (a torn segment is rebuilt, never served)
     The payload bytes are stamped with a CRC32 at publish time and the
@@ -88,6 +91,12 @@ _HEADER = struct.Struct("<8sBQdII")
 _STATUS_BUILDING = 0
 _STATUS_READY = 1
 _STATUS_FAILED = 2
+
+#: How long a meta segment may go without a valid header before a
+#: waiter takes it over.  Creating the segment and stamping its header
+#: are two steps, so a fresh claim reads as all zeros for a moment; only
+#: a claimer that died in between leaves it unstamped for this long.
+_STAMP_GRACE_S = 1.0
 
 #: Payload arrays are laid out on cache-line boundaries.
 _ALIGN = 64
@@ -483,8 +492,10 @@ class SharedSegmentStore:
 
         deadline = time.monotonic() + wait_s
         first = True
+        unstamped_since = None
         while True:
-            if not first and time.monotonic() >= deadline:
+            now = time.monotonic()
+            if not first and now >= deadline:
                 with self._lock:
                     self.wait_timeouts += 1
                 return "miss", None
@@ -500,7 +511,17 @@ class SharedSegmentStore:
                 if claimed is not None:
                     return "claim", claimed
                 continue  # raced another claimer; re-attach
-            # outcome == "building": poll for READY / owner death.
+            if outcome == "unstamped":
+                if unstamped_since is None:
+                    unstamped_since = now
+                elif now - unstamped_since >= _STAMP_GRACE_S:
+                    # The claimer died between create and stamp.
+                    self._takeover(key)
+                    unstamped_since = None
+                    continue
+            else:
+                unstamped_since = None
+            # "building" or "unstamped": poll for READY / owner death.
             time.sleep(0.005)
 
     def _try_claim(self, key: str) -> Optional[SegmentClaim]:
@@ -520,7 +541,15 @@ class SharedSegmentStore:
         return claim
 
     def _try_attach(self, key: str):
-        """``("value", payload)`` | ``("building", None)`` | ``("absent", None)``."""
+        """``("value", payload)`` | ``("building", None)`` |
+        ``("unstamped", None)`` | ``("absent", None)``.
+
+        ``"unstamped"`` is a meta segment without a valid header: a
+        claim whose creator has not written it yet (or is mid-write).
+        Taking it over at once would unlink a live claim and let a
+        second process build the same key; :meth:`acquire` waits
+        :data:`_STAMP_GRACE_S` first.
+        """
         name = self._meta_name(key)
         try:
             meta = _open_segment(name)
@@ -532,8 +561,7 @@ class SharedSegmentStore:
             header = None
         if header is None or header[0] != _MAGIC:
             meta.close()
-            self._takeover(key)
-            return "absent", None
+            return "unstamped", None
         _, status, owner_pid, _, crc, desc_len = header
         if status == _STATUS_BUILDING:
             meta.close()

@@ -73,8 +73,7 @@ class ServiceState:
         Dataset catalogue (a fresh empty one by default).
     cache:
         A :class:`SharedCacheManager`, or None to serve without the
-        shared adjacency cache (every request rebuilds — the baseline
-        the load harness measures against).
+        shared adjacency cache (every request rebuilds).
     engine:
         Default engine spec for requests that do not name one.
     workers:
@@ -82,14 +81,6 @@ class ServiceState:
     max_inflight:
         Hard cap on queued + running computations; beyond it the server
         answers 503 instead of buffering unboundedly.
-    coalesce:
-        Whether the server single-flights identical concurrent
-        requests (toggleable so the load harness can measure the win).
-    reuse_indexes:
-        When False, every computation builds a fresh index and nothing
-        is shared — the stateless "fresh ``disc_select`` per request"
-        baseline the load harness measures the shared-cache
-        configuration against.
     default_timeout_ms:
         Deadline applied to requests that carry no ``timeout_ms`` of
         their own (None = such requests run unbounded).
@@ -128,8 +119,6 @@ class ServiceState:
         engine_options: Optional[dict] = None,
         workers: int = 4,
         max_inflight: Optional[int] = 64,
-        coalesce: bool = True,
-        reuse_indexes: bool = True,
         default_timeout_ms: Optional[float] = None,
         max_timeout_ms: Optional[float] = None,
         faults=None,
@@ -151,8 +140,6 @@ class ServiceState:
         ).validate()
         self.workers = workers
         self.max_inflight = max_inflight
-        self.coalesce = coalesce
-        self.reuse_indexes = reuse_indexes
         self.default_timeout_ms = default_timeout_ms
         self.max_timeout_ms = max_timeout_ms
         self.faults = faults
@@ -498,14 +485,6 @@ class ServiceState:
         DiscSession`); the per-radius artefact is the adjacency, which
         lives in the shared cache.
         """
-        if not self.reuse_indexes:
-            dataset = handle.dataset
-            entry, accelerate, options = spec.resolve(
-                n=dataset.n, metric=dataset.metric
-            )
-            return entry.create(
-                dataset.points, dataset.metric, accelerate, options
-            )
         key = (handle.dataset_id, self._engine_key(spec))
         with self._lock:
             index = self._indexes.get(key)
@@ -882,7 +861,6 @@ class ServiceState:
             "worker": self.identity,
             "workers": self.workers,
             "max_inflight": self.max_inflight,
-            "coalesce": self.coalesce,
             "default_timeout_ms": self.default_timeout_ms,
             "max_timeout_ms": self.max_timeout_ms,
             **counters,

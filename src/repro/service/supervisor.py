@@ -65,6 +65,7 @@ from repro.obs.sink import TraceSink, build_record
 from repro.service.resilience import error_body
 from repro.service.server import (
     _json_bytes,
+    metric_endpoint,
     read_http_request,
     write_http_response,
 )
@@ -673,9 +674,9 @@ class Supervisor:
             return 400, error_body("bad_request", "invalid Content-Length header")
         if isinstance(body, dict) and body.get("\x00invalid-json"):
             return 400, error_body("bad_request", "request body is not valid JSON")
-        endpoint = f"{method} {path}"
+        endpoint = metric_endpoint(method, path)
         self.requests[endpoint] = self.requests.get(endpoint, 0) + 1
-        self._m_requests.inc(endpoint=endpoint[:48])
+        self._m_requests.inc(endpoint=endpoint)
         if method == "GET":
             if path == "/healthz":
                 return 200, self._healthz()
@@ -1335,11 +1336,9 @@ def build_worker_configs(
     engine_options: Optional[dict] = None,
     threads: int = 4,
     max_inflight: Optional[int] = 64,
-    cache: bool = True,
     cache_entries: int = 64,
     cache_mb: Optional[float] = None,
     ttl_s: Optional[float] = None,
-    coalesce: bool = True,
     default_timeout_ms: Optional[float] = None,
     max_timeout_ms: Optional[float] = None,
     faults=None,
@@ -1401,11 +1400,9 @@ def build_worker_configs(
                 "engine_options": dict(engine_options or {}),
                 "threads": threads,
                 "max_inflight": max_inflight,
-                "cache": cache,
                 "cache_entries": cache_entries,
                 "cache_mb": cache_mb,
                 "ttl_s": ttl_s,
-                "coalesce": coalesce,
                 "default_timeout_ms": default_timeout_ms,
                 "max_timeout_ms": max_timeout_ms,
                 "faults": (

@@ -264,6 +264,48 @@ class TestRepairSelection:
             self._assert_valid(live, fast)
             previous = fast["selected"]
 
+    def test_repair_is_valid_and_at_least_as_stable_as_recompute(self):
+        """10 batches of 10% churn (n=2k clustered): every repaired
+        selection is r-DisC diverse, and consecutive repaired selections
+        overlap at least as much as from-scratch recomputes do."""
+        from repro.api import disc_select
+        from repro.datasets import clustered_dataset
+
+        n, radius, batches = 2000, 0.05, 10
+        data = clustered_dataset(n=n, dim=2, seed=42)
+        live = MutableDataset("churn", data)
+        rng = np.random.default_rng(1729)
+        per_batch = n // 10 // batches
+        lo, hi = data.points.min(axis=0), data.points.max(axis=0)
+        initial = [int(i) for i in disc_select(data, radius, engine="grid").selected]
+        repaired, recomputed = initial, initial
+        repair_jaccards, recompute_jaccards = [], []
+        for _ in range(batches):
+            inserts = lo + rng.random((per_batch, 2)) * (hi - lo)
+            deletes = rng.choice(live.alive_ids(), size=per_batch, replace=False)
+            delta = live.apply(inserts=inserts, deletes=np.sort(deletes))
+            fast = repair_selection_delta(
+                live.ensure_adjacency(radius),
+                live.alive_mask(),
+                repaired,
+                deleted=delta["deleted"],
+                inserted=delta["inserted"],
+            )
+            handle = live.snapshot_handle()
+            report = verify_disc(
+                handle.dataset.points, EUCLIDEAN, fast["local"], radius
+            )
+            assert report.is_disc_diverse, str(report)
+            repair_jaccards.append(fast["jaccard_previous"])
+            repaired = fast["selected"]
+            fresh = disc_select(handle.dataset, radius, engine="grid")
+            alive_ids = live.alive_ids()
+            selected = [int(alive_ids[i]) for i in fresh.selected]
+            recompute_jaccards.append(jaccard(selected, recomputed))
+            recomputed = selected
+        assert live.version == batches
+        assert np.mean(repair_jaccards) >= np.mean(recompute_jaccards)
+
     def test_jaccard_basics(self):
         assert jaccard([], []) == 1.0
         assert jaccard([1, 2], [1, 2]) == 1.0

@@ -51,7 +51,7 @@ from repro.service.faults import (
     FaultInjector,
     InjectedFault,
 )
-from repro.service.load import run_chaos_trace
+from repro.service.load import DEADLINE_SLACK_MS, run_chaos_trace
 from repro.service.resilience import (
     BuildFailed,
     CircuitBreaker,
@@ -714,6 +714,12 @@ class TestChaosSuite:
         _assert_chaos_invariants(outcome)
         assert outcome["successes"] == outcome["requests"]
         assert outcome["failures"] == 0
+        # Single-flight: identical concurrent requests computed once.
+        assert outcome["computations"] < outcome["requests"]
+        # One build per unique radius, and the repeats hit the cache.
+        cache = outcome["cache"]
+        assert cache["builds"] == 3
+        assert cache["hits"] / (cache["hits"] + cache["misses"]) >= 0.5
 
     def test_build_failures_and_slow_builds(self):
         outcome = run_chaos_trace(
@@ -767,3 +773,6 @@ class TestChaosSuite:
         _assert_chaos_invariants(outcome)
         assert outcome["timeouts"] >= 1
         assert outcome["status_counts"].get("408", 0) >= 1
+        # Cooperative cancellation bounds the wait: every 408/504 arrived
+        # within the budget plus one checkpoint interval.
+        assert outcome["max_error_latency_ms"] <= 150.0 + DEADLINE_SLACK_MS

@@ -363,6 +363,40 @@ class TestServerEndpoints:
         assert {"hits", "misses", "builds", "coalesced_builds"} <= set(stats["cache"])
         assert json.dumps(stats)  # fully serialisable
 
+    def test_request_counters_stay_bounded_under_junk(self):
+        """Unknown paths and made-up methods collapse into ``other``, so
+        client input cannot grow ``/stats`` or ``/metrics``."""
+        from repro.obs.metrics import MetricsRegistry
+
+        routes = ["GET /healthz", "GET /stats", "GET /metrics", "GET /datasets",
+                  "POST /select", "POST /zoom", "POST /mutate"]
+        state = ServiceState(DatasetRegistry(), metrics=MetricsRegistry())
+        with start_in_thread(state) as running:
+            conn = http.client.HTTPConnection(running.host, running.port, timeout=30)
+            try:
+                junk = [("GET", f"/junk/{i}") for i in range(200)]
+                junk += [(f"FROB{i}", f"/x{i}") for i in range(20)]
+                junk += [("POST", "/nope"), ("FROB", "/select")]
+                for method, path in junk:
+                    conn.request(method, path)
+                    conn.getresponse().read()
+            finally:
+                conn.close()
+            with ServiceClient(running.host, running.port) as client:
+                keys = set(client.stats()["requests"])
+        (series,) = [
+            entry["samples"]
+            for name, entry in state.metrics.snapshot().items()
+            if name == "repro_http_requests_total"
+        ]
+        labels = {sample["labels"]["endpoint"] for sample in series}
+        allowed = {f"{m} {p.split()[1]}" for m in ("GET", "POST", "other")
+                   for p in routes} | {f"{m} other" for m in ("GET", "POST", "other")}
+        for seen in (keys, labels):
+            assert seen <= allowed, sorted(seen - allowed)[:5]
+            assert len(seen) <= len(routes) + 1, sorted(seen)
+        assert {"GET other", "other other"} <= keys
+
     def test_identical_concurrent_requests_coalesce(self, service):
         before = None
         with ServiceClient(service.host, service.port) as probe:

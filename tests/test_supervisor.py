@@ -39,6 +39,8 @@ from repro.service.client import (
     wait_until_healthy,
 )
 from repro.service.faults import FaultConfig
+from repro.service import load
+from repro.service.load import SESSION_ZOOM_PATTERN
 from repro.service.server import start_in_thread
 from repro.service.shm import SharedSegmentStore, ShmCacheBacking
 from repro.service.state import ServiceState
@@ -125,6 +127,27 @@ class TestSegmentStore:
             finally:
                 fresh.close()
         finally:
+            store.close(sweep=True)
+
+    def test_unstamped_claim_is_waited_on_not_taken_over(self):
+        """A claimer creates the meta segment, then writes its header.
+        A reader in between must wait, not unlink the live claim (which
+        let a second worker build the same radius); a header still
+        missing after the grace period means the claimer died, and is
+        taken over."""
+        store = _fresh_store()
+        meta = shm_mod._open_segment(
+            store._meta_name("fresh"), create=True, size=shm_mod._META_SIZE
+        )
+        try:
+            assert store.acquire("fresh", wait_s=0.2) == ("miss", None)
+            assert store.counters()["takeovers"] == 0
+            status, claim = store.acquire("fresh", wait_s=10.0)
+            assert status == "claim"
+            assert store.counters()["takeovers"] == 1
+            claim.abandon()
+        finally:
+            meta.close()
             store.close(sweep=True)
 
     def test_sweep_orphans_reclaims_dead_runs(self):
@@ -326,41 +349,66 @@ class TestClientKeepAlive:
 # ----------------------------------------------------------------------
 class TestSupervisedCluster:
     def test_smoke_parity_and_rollup(self):
-        """2 workers, one radius: parity with disc_select, one build
-        cluster-wide, clean shm teardown."""
+        """2 workers, the zoom pattern's three radii: parity with
+        disc_select, one build per radius cluster-wide, clean shm
+        teardown."""
         cluster = start_supervised(["uniform"], 2, n=400, threads=2)
         run_id = cluster.run_id
+        radii = [0.1 * m for m in SESSION_ZOOM_PATTERN]
         try:
-            reference = [
-                int(i)
-                for i in disc_select(
-                    uniform_dataset(n=400, seed=42),
-                    0.1,
-                    engine="grid",
-                    engine_options={"cell_size": 0.1},
-                ).selected
-            ]
+            reference = {
+                radius: [
+                    int(i)
+                    for i in disc_select(
+                        uniform_dataset(n=400, seed=42),
+                        radius,
+                        engine="grid",
+                        engine_options={"cell_size": 0.1},
+                    ).selected
+                ]
+                for radius in set(radii)
+            }
             with ServiceClient(cluster.host, cluster.port) as client:
                 assert client.healthz()["workers"] == {"healthy": 2}
-                # Several sequential requests: the rotating pick spreads
-                # them over both workers; answers must not depend on
-                # which worker served them.
-                for _ in range(4):
-                    response = client.select("uniform", 0.1, engine=ENGINE)
-                    assert response["result"]["selected"] == reference
+                # Sequential requests: the rotating pick spreads them
+                # over both workers; answers must not depend on which
+                # worker served them.
+                for radius in radii:
+                    response = client.select("uniform", radius, engine=ENGINE)
+                    assert response["result"]["selected"] == reference[radius]
                 stats = client.stats()
             assert len(stats["workers"]) == 2
             assert {w["state"] for w in stats["workers"]} == {"healthy"}
             totals = stats["totals"]
-            # builds == unique radii cluster-wide: one worker built, the
-            # rest attached the shared segment.
-            assert totals["builds"] == 1
-            assert totals["shm_stores"] == 1
+            # builds == unique radii cluster-wide: one worker built each
+            # radius, the other attached its shared segment.
+            assert len(reference) == 3
+            assert totals["builds"] == 3
+            assert totals["shm_stores"] == 3
             assert totals["shm_hits"] >= 1
         finally:
             removed = cluster.stop()
         assert removed  # the run's segments existed and were swept
         assert shm_mod.list_run_segments(run_id) == []
+
+    def test_concurrent_zoom_trace_builds_once_per_radius(self):
+        """The zoom trace's step-synchronised clients on 2 workers:
+        both workers miss the same radius at once and race for the
+        shared build, yet each radius is built once cluster-wide."""
+        trace = load.zoom_trace(1200)
+        cluster = start_supervised(
+            [load.WORKLOAD], 2, n=1200, seed=42, threads=load.CLIENTS
+        )
+        try:
+            records = load._replay(cluster.host, cluster.port, trace)
+            with ServiceClient(cluster.host, cluster.port) as client:
+                totals = client.stats()["totals"]
+        finally:
+            cluster.stop()
+        assert all(r["status"] == 200 for r in records)
+        assert all(r["selected"] == trace.reference[r["radius"]] for r in records)
+        assert totals["builds"] == len(set(trace.radii)) == 3, totals
+        assert totals["shm_hits"] >= 1
 
     def test_crash_mid_request_is_replayed(self):
         """Deterministic worker_crash on one worker: the client sees
@@ -619,7 +667,7 @@ def test_kill9_mid_trace_loses_nothing():
     """
     from repro.service.load import run_kill9_trace
 
-    out = run_kill9_trace(n=1200, clients=4, workers=2)
+    out = run_kill9_trace(n=1200)
     assert out["killed"] and "pid" in out["killed"]
     assert out["requests"] == out["expected_requests"]
     assert out["failures"] == 0, out["status_counts"]
