@@ -57,6 +57,7 @@ _SCOPE_PATTERNS: Tuple[Tuple[str, str], ...] = (
     ("repro/core/greedy.py", "hot-path"),
     ("repro/core/zoom.py", "hot-path"),
     ("repro/core/basic.py", "hot-path"),
+    ("repro/core/_kernel.py", "hot-path"),
     # Streaming/dynamic maintenance loops run under request deadlines
     # just like the static heuristics.
     ("repro/core/extensions/", "hot-path"),

@@ -8,7 +8,9 @@ cooperative: long-running loops — the greedy pick loops in
 adjacency builders in :mod:`repro.graph.csr` / :mod:`repro.graph.blocked`
 — call :meth:`CancellationToken.checkpoint` every
 :data:`CHECKPOINT_EVERY` iterations and abort with
-:class:`OperationCancelled` when the budget is spent.
+:class:`OperationCancelled` when the budget is spent.  The compiled
+selection kernel (:mod:`repro.core._kernel`) checkpoints between its
+batches of :data:`CHECKPOINT_EVERY` picks.
 
 The token travels *ambiently* through a :class:`contextvars.ContextVar`
 rather than through function signatures: ``disc_select`` and the
@@ -35,11 +37,11 @@ __all__ = [
     "current_token",
 ]
 
-#: Loop iterations between cooperative checkpoints.  One greedy pick is
-#: an argmax plus one decrement batch (tens of microseconds at 10k
-#: objects), so 256 picks keeps the cancellation latency far below any
-#: realistic deadline while making the ``monotonic()`` call invisible in
-#: profiles.
+#: Loop iterations between cooperative checkpoints.  The compiled
+#: selection kernel returns to Python after this many picks (tens of
+#: microseconds each at 20k objects), so 256 keeps the cancellation
+#: latency far below any realistic deadline while making the
+#: ``monotonic()`` call invisible in profiles.
 CHECKPOINT_EVERY = 256
 
 

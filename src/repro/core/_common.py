@@ -14,6 +14,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.cancellation import CHECKPOINT_EVERY, current_token
+from repro.core import _kernel
 from repro.core.coloring import Color, Coloring
 from repro.index.base import IndexStats, NeighborIndex
 
@@ -21,6 +22,7 @@ __all__ = [
     "attach_fresh_coloring",
     "query_neighbors",
     "csr_fast_path",
+    "kernel_select",
     "scan_cover",
     "LazyMaxHeap",
     "ClosestBlackTracker",
@@ -74,17 +76,65 @@ def csr_fast_path(
     prune: bool = False,
     build: bool = True,
 ):
-    """The CSR adjacency when the vectorised fast path is applicable.
+    """The CSR adjacency when the compiled-kernel fast path is applicable.
 
     Tree-specific query options (pruning) and coloring listeners (the
     M-tree's per-leaf white counters) both require the per-query
     protocol, so either disables the fast path; indexes without a CSR
-    engine return None anyway.  Selection semantics are identical on
-    both paths — this is purely an execution-strategy switch.
+    engine return None anyway, and so does a process where the kernel
+    could not be built.  Selection semantics are identical on both
+    paths — this is purely an execution-strategy switch.
     """
-    if prune or coloring.has_listeners():
+    if prune or coloring.has_listeners() or _kernel.load() is None:
         return None
     return index.csr_neighborhood(radius, build=build)
+
+
+def kernel_select(
+    index: NeighborIndex,
+    csr,
+    coloring: Coloring,
+    scores: Optional[np.ndarray],
+    mode: int,
+    *,
+    batch: int,
+    tracker: Optional["ClosestBlackTracker"],
+    selected: List[int],
+    sentinel: int = NEG_INF,
+) -> Tuple[int, int]:
+    """Run one selection pass of the compiled kernel over ``csr``.
+
+    ``scores`` seeds the pass (non-candidates at ``sentinel``); None
+    lets the kernel count them from the colors (see
+    :meth:`~repro.core._kernel.Kernel.run`), except in the scan mode,
+    which has none.  ``coloring`` is recolored in place and re-counted
+    once the pass ends (or aborts); the picks are appended to
+    ``selected`` and fed to ``tracker`` once per batch of at most
+    ``batch`` picks.  Returns the pass's ``(picks, objects greyed)``
+    totals for the callers' range query accounting.
+    """
+    codes = coloring.codes_view()
+    pool = coloring.count(
+        Color.RED if mode >= _kernel.MODE_RED_A else Color.WHITE
+    )
+    seed = scores is None and mode != _kernel.MODE_SCAN
+    if seed:
+        scores = np.empty(csr.n, dtype=np.int64)
+    picked = greyed = 0
+    try:
+        for picks, newly, row_ptr, rows in _kernel.load().run(
+            csr, codes, scores, mode,
+            pool=pool, batch=batch, sentinel=int(sentinel), seed=seed,
+            rows=tracker is not None,
+        ):
+            selected.extend(picks.tolist())
+            picked += picks.size
+            greyed += int(newly.sum())
+            if tracker is not None:
+                tracker.record_blacks(picks, row_ptr, rows)
+    finally:
+        coloring.recount()
+    return picked, greyed
 
 
 def scan_cover(
@@ -101,33 +151,24 @@ def scan_cover(
     its neighborhood.
 
     This is the shared engine of Basic-DisC and the arbitrary zoom-in
-    pass.  With a CSR adjacency the neighbor greying is one masked
-    assignment per selection; otherwise one range query per pick, as
-    the paper describes.  Picks and final colors are identical on both
-    paths (the scan order is the index's, never the adjacency's).
+    pass.  With a CSR adjacency (from :func:`csr_fast_path`) the scan
+    runs in the compiled kernel, which walks ids in ascending order —
+    the natural order of every index with a CSR engine (only the M-tree
+    orders differently, and it never takes the fast path).  Otherwise
+    one range query per pick, as the paper describes.  Picks and final
+    colors are identical on both paths.
     """
     if selected is None:
         selected = []
-    token = current_token()
-    picks = 0
     if csr is not None:
-        codes = coloring.codes_view()
-        white_code = int(Color.WHITE)
-        for object_id in index.ids():
-            if codes[object_id] != white_code:
-                continue
-            if token is not None:
-                if picks % CHECKPOINT_EVERY == 0:
-                    token.checkpoint()
-                picks += 1
-            coloring.set_black(object_id)
-            selected.append(object_id)
-            neighbors = csr.neighbors(object_id)
-            coloring.set_grey_many(neighbors[codes[neighbors] == white_code])
-            index.stats.range_queries += 1
-            if tracker is not None:
-                tracker.record_black(object_id, neighbors)
+        picked, _ = kernel_select(
+            index, csr, coloring, None, _kernel.MODE_SCAN,
+            batch=CHECKPOINT_EVERY, tracker=tracker, selected=selected,
+        )
+        index.stats.range_queries += picked
     else:
+        token = current_token()
+        picks = 0
         for object_id in index.ids():
             if not coloring.is_white(object_id):
                 continue
@@ -220,6 +261,23 @@ class ClosestBlackTracker:
         d = metric.to_point(points[neighbor_ids], points[black_id])
         self._index.stats.distance_computations += len(neighbor_ids)
         np.minimum.at(self.distances, neighbor_ids, d)
+
+    def record_blacks(
+        self, black_ids: np.ndarray, row_ptr: np.ndarray, rows: np.ndarray
+    ) -> None:
+        """:meth:`record_black` for a batch of blacks at once: the
+        neighbors of ``black_ids[k]`` are ``rows[row_ptr[k]:row_ptr[k+1]]``.
+        ``Metric.paired`` is bit-identical to the per-black
+        ``to_point``, and the minimum is order-free, so the distances
+        equal a per-black replay."""
+        self.distances[black_ids] = 0.0
+        if rows.size == 0:
+            return
+        points = self._index.points
+        owners = np.repeat(black_ids, np.diff(row_ptr))
+        d = self._index.metric.paired(points[rows], points[owners])
+        self._index.stats.distance_computations += rows.size
+        np.minimum.at(self.distances, rows, d)
 
     def covered_at(self, object_id: int, radius: float) -> bool:
         return self.distances[object_id] <= radius

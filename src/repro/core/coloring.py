@@ -117,6 +117,15 @@ class Coloring:
         """Vectorised :meth:`set_grey` (the hot transition in covering)."""
         self.set_many(ids, Color.GREY)
 
+    def recount(self) -> None:
+        """Re-derive the per-color counts after the compiled selection
+        kernel recolored :meth:`codes_view` in place (it runs only when
+        no listener is attached, so there is no transition stream to
+        replay)."""
+        if self._listeners:
+            raise RuntimeError("recount() would hide transitions from listeners")
+        self._counts = np.bincount(self._codes, minlength=4).tolist()
+
     # Queries ------------------------------------------------------------------
     def is_white(self, object_id: int) -> bool:
         return self._codes[object_id] == int(Color.WHITE)
@@ -158,9 +167,9 @@ class Coloring:
     def codes_view(self) -> np.ndarray:
         """The live ``int8`` color-code array (read-only by convention).
 
-        The CSR fast paths index this directly for vectorised masks;
-        all writes must still go through :meth:`set_color` /
-        :meth:`set_many` so the per-color counts stay consistent.
+        The CSR fast paths index this directly for vectorised masks.
+        Writes go through :meth:`set_color` / :meth:`set_many`, except
+        the compiled selection kernel's, which :meth:`recount` follows.
         """
         return self._codes
 

@@ -23,11 +23,14 @@ All variants share the :func:`greedy_cover` engine, which the zooming
 algorithms of Section 3 reuse for their greedy passes.
 
 When the index holds a CSR or blocked adjacency for the radius, the
-default grey update runs vectorised (:func:`_greedy_cover_csr`): one
-dense score array, one ``np.argmax`` per pick and in-place count
-decrements.  The cost is O(n) per pick plus the edges of the objects
-leaving the candidate pool, and the selection order is the heap path's,
-byte for byte.
+default grey update runs in the compiled selection kernel
+(:func:`_greedy_cover_csr`, :mod:`repro.core._kernel`): one dense score
+array, an argmax scan per pick and in-place count decrements, all in
+one C loop that returns to Python once per :data:`CHECKPOINT_EVERY`
+picks.  The cost is O(n) per pick plus the edges of the objects leaving
+the candidate pool, and the selection order is the heap path's, byte
+for byte.  The heap path is the parity reference and the fallback when
+no C compiler is available.
 """
 
 from __future__ import annotations
@@ -44,8 +47,10 @@ from repro.core._common import (
     attach_fresh_coloring,
     consume_stats,
     csr_fast_path,
+    kernel_select,
     query_neighbors,
 )
+from repro.core._kernel import MODE_COVER, MODE_COVER_C
 from repro.core.coloring import Color, Coloring
 from repro.core.result import DiscResult
 from repro.index.base import NeighborIndex
@@ -205,20 +210,17 @@ def _greedy_cover_csr(
     tracker: Optional[ClosestBlackTracker],
     selected: Optional[List[int]],
 ) -> List[int]:
-    """Vectorised :func:`greedy_cover` over a CSR or blocked adjacency.
+    """:func:`greedy_cover` over a CSR or blocked adjacency, in the
+    compiled kernel.
 
-    One dense ``int64`` score array drives the loop: a candidate holds
+    One dense ``int64`` score array drives the pass: a candidate holds
     its white-neighbor count, every other object holds :data:`NEG_INF`.
-    Each pick is one ``np.argmax`` (lowest id on ties, exactly the
-    heap's ``(-count, id)`` order).  The grey update rule is applied to
-    the scores in place: the objects leaving the pool get the sentinel,
+    Each pick is the argmax (lowest id on ties, exactly the heap's
+    ``(-count, id)`` order).  The grey update rule is applied to the
+    scores in place: the objects leaving the pool get the sentinel,
     then every object that stopped being white decrements each of its
     neighbors once.  Decrements that land on non-candidates leave them
     far below any real count, so nothing filters them out.
-
-    Cost: one O(n) argmax per pick, plus the edges of the objects
-    leaving the white pool (on a blocked adjacency, the sparse edges
-    plus one delta per affected block side).
 
     r-C mode keeps greys as candidates, but a grey with no white
     neighbor left is not eligible (the heap path demands a positive
@@ -226,70 +228,37 @@ def _greedy_cover_csr(
     maximum is 0; then every white is isolated and the pick is the
     lowest-id white.
     """
-    white_code = int(Color.WHITE)
-    grey_code = int(Color.GREY)
-    codes = coloring.codes_view()
-    n = csr.n
-
+    scores = None
     if initial_counts is not None:
-        scores = np.asarray(initial_counts, dtype=np.int64).copy()
-        if scores.shape != (n,):
+        scores = np.array(initial_counts, dtype=np.int64)
+        if scores.shape != (csr.n,):
             raise ValueError(
-                f"initial_counts must have shape ({n},), got {scores.shape}"
+                f"initial_counts must have shape ({csr.n},), got {scores.shape}"
             )
-    else:
-        scores = csr.neighbor_counts(coloring.white_mask()).astype(np.int64)
-        # The legacy path issues one seeding range query per candidate.
-        n_candidates = int(np.count_nonzero(codes == white_code))
+        codes = coloring.codes_view()
+        candidate = codes == int(Color.WHITE)
         if include_grey_candidates:
-            n_candidates += int(np.count_nonzero(codes == grey_code))
+            candidate |= codes == int(Color.GREY)
+        scores[~candidate] = NEG_INF
+    else:
+        # The kernel counts the white neighbors itself; the legacy path
+        # issues one seeding range query per candidate.
+        n_candidates = coloring.count(Color.WHITE)
+        if include_grey_candidates:
+            n_candidates += coloring.count(Color.GREY)
         index.stats.range_queries += n_candidates
 
     if selected is None:
         selected = []
-
-    candidate = codes == white_code
-    if include_grey_candidates:
-        candidate |= codes == grey_code
-    scores[~candidate] = NEG_INF
-
-    token = current_token()
-    pops = 0
-    while coloring.any_white():
-        if token is not None:
-            if pops % CHECKPOINT_EVERY == 0:
-                token.checkpoint()
-            pops += 1
-        pick = int(scores.argmax())
-        best = scores[pick]
-        if best < 0:
-            raise RuntimeError(
-                "greedy cover ran out of candidates with white objects left; "
-                "the count array is inconsistent"
-            )
-        was_white = codes[pick] == white_code
-        if best == 0 and not was_white:
-            # A grey with zero gain is ineligible (r-C mode only).
-            pick = int((codes == white_code).argmax())
-            was_white = True
-        coloring.set_black(pick)
-        selected.append(pick)
-        neighbors = csr.neighbors(pick)
-        newly_grey = neighbors[codes[neighbors] == white_code].astype(np.int64)
-        coloring.set_grey_many(newly_grey)
-        # Legacy accounting: one query for the pick plus one grey-update
-        # query per newly-grey object.
-        index.stats.range_queries += 1 + newly_grey.size
-        if tracker is not None:
-            tracker.record_black(pick, neighbors)
-
-        scores[pick] = NEG_INF
-        if not include_grey_candidates:
-            scores[newly_grey] = NEG_INF
-        csr.decrement(
-            scores,
-            np.append(newly_grey, np.int64(pick)) if was_white else newly_grey,
+    # Legacy accounting: one query for each pick plus one grey-update
+    # query per newly-grey object.
+    index.stats.range_queries += sum(
+        kernel_select(
+            index, csr, coloring, scores,
+            MODE_COVER_C if include_grey_candidates else MODE_COVER,
+            batch=CHECKPOINT_EVERY, tracker=tracker, selected=selected,
         )
+    )
     return selected
 
 

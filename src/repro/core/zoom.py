@@ -24,6 +24,15 @@ at r′ iff its closest black lies within r′.  When the producing run used
 pruned queries those distances are inexact, and the paper's
 post-processing pass (re-running the blacks' range queries) restores
 them — implemented in :func:`recompute_closest_black`.
+
+Over a cached CSR or blocked adjacency at the new radius, every greedy
+pass — Greedy-Zoom-In, both passes of Greedy-Zoom-Out, and the scan of
+the arbitrary Zoom-In — runs in the compiled selection kernel
+(:mod:`repro.core._kernel`): the kernel seeds the pass's counts from
+the colors, picks by argmax (argmin for variant b) and decrements in
+place, returning to Python once per :data:`CHECKPOINT_EVERY` picks.
+Without a cached adjacency (or without a C compiler) the heap-driven
+passes run instead, with identical picks.
 """
 
 from __future__ import annotations
@@ -39,9 +48,11 @@ from repro.core._common import (
     LazyMaxHeap,
     consume_stats,
     csr_fast_path,
+    kernel_select,
     query_neighbors,
     scan_cover,
 )
+from repro.core._kernel import MODE_RED_A, MODE_RED_B, MODE_RED_C
 from repro.core.coloring import Color, Coloring
 from repro.core.greedy import greedy_cover
 from repro.core.result import DiscResult
@@ -68,8 +79,14 @@ def recompute_closest_black(
     """
     tracker = ClosestBlackTracker(index, exact=True)
     neighborhoods = index.range_query_batch(selected, radius)
-    for black, neighbors in zip(selected, neighborhoods):
-        tracker.record_black(black, neighbors)
+    row_ptr = np.zeros(len(selected) + 1, dtype=np.int64)
+    np.cumsum([len(neighbors) for neighbors in neighborhoods], out=row_ptr[1:])
+    rows = (
+        np.concatenate(neighborhoods).astype(np.int64)
+        if row_ptr[-1]
+        else np.empty(0, dtype=np.int64)
+    )
+    tracker.record_blacks(np.asarray(selected, dtype=np.int64), row_ptr, rows)
     return tracker
 
 
@@ -373,6 +390,9 @@ def _greedy_red_pass(
         on_recolor(pick, was_red=True)
 
 
+_RED_MODES = {"a": MODE_RED_A, "b": MODE_RED_B, "c": MODE_RED_C}
+
+
 def _greedy_red_pass_csr(
     index: NeighborIndex,
     csr,
@@ -381,7 +401,8 @@ def _greedy_red_pass_csr(
     selected: List[int],
     variant: str,
 ) -> None:
-    """Vectorised :func:`_greedy_red_pass` over a cached CSR adjacency.
+    """:func:`_greedy_red_pass` over a cached CSR or blocked adjacency,
+    in the compiled kernel.
 
     Selection order is identical to the heap-driven pass: the next pick
     is the red object with the best variant priority, ties broken by
@@ -394,49 +415,18 @@ def _greedy_red_pass_csr(
     non-reds are never read again, so the decrements that land on the
     sentinels are harmless.
 
-    Red counts are seeded from the reds' own rows (a few hundred
-    objects, not the adjacency).  For variant "c", every non-red object
-    is white before the pass, so white counts start as
-    ``degrees - red_counts`` exactly.
+    The kernel seeds the counters from the reds' own rows (a few
+    hundred objects, not the adjacency).
     """
-    codes = coloring.codes_view()
-    red_code, white_code = int(Color.RED), int(Color.WHITE)
-    red_mask = codes == red_code
     # Legacy accounting: one up-front probe per red object.
-    index.stats.range_queries += int(np.count_nonzero(red_mask))
-    scores = csr.neighbor_counts(red_mask).astype(np.int64)
-    if variant == "c":
-        scores = csr.degrees - scores
-    # Variant "b" wants the fewest red neighbors: argmin over the same
-    # counts, so its sentinel sits at the top instead.
-    fewest = variant == "b"
-    sentinel = -NEG_INF if fewest else NEG_INF
-    scores[~red_mask] = sentinel
-    best = scores.argmin if fewest else scores.argmax
-
-    token = current_token()
-    iterations = 0
-    while coloring.any_red():
-        iterations += 1
-        if token is not None and iterations % CHECKPOINT_EVERY == 0:
-            token.checkpoint()
-        pick = int(best())
-        if codes[pick] != red_code:
-            raise RuntimeError("red pass lost track of remaining red objects")
-        coloring.set_black(pick)
-        selected.append(pick)
-        neighbors = csr.neighbors(pick)
-        local = codes[neighbors]
-        greyed_reds = neighbors[local == red_code].astype(np.int64)
-        greyed_whites = neighbors[local == white_code].astype(np.int64)
-        coloring.set_grey_many(greyed_reds)
-        coloring.set_grey_many(greyed_whites)
-        tracker.record_black(pick, neighbors)
-
-        # The pick and the greyed reds left the red pool.
-        left_red = np.append(greyed_reds, np.int64(pick))
-        scores[left_red] = sentinel
-        csr.decrement(scores, greyed_whites if variant == "c" else left_red)
+    index.stats.range_queries += coloring.count(Color.RED)
+    # Variant "b" wants the fewest red neighbors: argmin, so its
+    # sentinel sits at the top instead.
+    kernel_select(
+        index, csr, coloring, None, _RED_MODES[variant],
+        batch=CHECKPOINT_EVERY, tracker=tracker, selected=selected,
+        sentinel=-NEG_INF if variant == "b" else NEG_INF,
+    )
 
 
 def local_zoom(

@@ -191,9 +191,17 @@ class ManhattanMetric(Metric):
         )
 
     def to_point(self, X: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.sum(
-            np.abs(np.asarray(X, dtype=float) - np.asarray(p, dtype=float)), axis=1
-        )
+        X = np.asarray(X, dtype=float)
+        p = np.asarray(p, dtype=float)
+        if X.shape[1] == 0:
+            return np.zeros(X.shape[0], dtype=float)
+        # Coordinate-at-a-time like :meth:`pairwise` and :meth:`paired`;
+        # ``np.sum`` sums 8 or more terms pairwise, off in the last bits.
+        out = _abs_diff(X[:, 0], p[0])
+        scratch = np.empty_like(out)
+        for k in range(1, X.shape[1]):
+            out += _abs_diff(X[:, k], p[k], out=scratch)
+        return out
 
     def pairwise(self, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
         X = np.asarray(X, dtype=float)

@@ -19,11 +19,13 @@ module keeps the proof implicit instead:
 
 :class:`BlockedNeighborhood` implements the same query primitives as
 the flat CSR (``neighbors`` / ``neighbor_counts`` / ``decrement`` /
-``cover_mask`` / ``degrees``), so every CSR fast path — Greedy-DisC,
-Greedy-C, Basic-DisC, the zoom passes, the weighted extension — runs on
-it unchanged and **byte-identical in selection order**: the primitives
-maintain exactly the same per-object counts the flat adjacency would,
-so the same argmax over them makes the same picks.  The count algebra
+``cover_mask`` / ``degrees``), and the compiled selection kernel
+(:mod:`repro.core._kernel`) reads its arrays directly, so every CSR
+fast path — Greedy-DisC, Greedy-C, Basic-DisC, the zoom passes, the
+repair, the weighted extension — runs on it **byte-identical in
+selection order**: the counts maintained are exactly the ones the flat
+adjacency would give, so the same argmax over them makes the same
+picks.  The count algebra
 is the aggregate-over-groups identity
 
 ``white_neighbors(i) = csr_count(i) + Σ_blocks |white ∩ other_side(i)|``
@@ -198,6 +200,10 @@ class BlockedNeighborhood:
         bicliques = int(np.count_nonzero(~self.side_is_clique)) // 2
         return bicliques + int(np.count_nonzero(self.side_is_clique))
 
+    def membership(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The node -> containing sides CSR: ``(indptr, side ids)``."""
+        return self._mem_indptr, self._mem_side
+
     def _side(self, s: int) -> np.ndarray:
         return self.side_members[self.side_ptr[s] : self.side_ptr[s + 1]]
 
@@ -335,7 +341,9 @@ class BlockedNeighborhood:
         return counts
 
     def decrement(self, counts: np.ndarray, sources: np.ndarray) -> None:
-        """Grey update rule, in place (same contract as the CSR version).
+        """Grey update rule, in place (same contract as the CSR version;
+        like it, used only by the weighted extension — the compiled
+        selection kernel applies the same per-side deltas in C).
 
         The sparse remainder goes through the CSR decrement.  The dense
         level is applied as per-side deltas: ``d`` sources in a side

@@ -272,6 +272,12 @@ class CSRNeighborhood:
         its neighbors once, so an object adjacent to several sources
         loses several counts.
 
+        Only the weighted extension (:mod:`repro.core.extensions.
+        weighted`) calls this: its blended score is not linear in the
+        count, so it cannot run in the compiled selection kernel
+        (:mod:`repro.core._kernel`), which applies the same rule in C
+        for every other greedy pass.
+
         Every neighbor is decremented, candidate or not: callers never
         read the count of an object that left the candidate pool (the
         selection loops park it at a sentinel no decrement brings back

@@ -33,6 +33,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.cancellation import CHECKPOINT_EVERY, current_token
+from repro.core import _kernel
+from repro.core._common import NEG_INF, LazyMaxHeap
+from repro.core.coloring import Color
 from repro.graph.csr import CSRNeighborhood
 
 __all__ = ["jaccard", "repair_selection", "repair_selection_delta"]
@@ -98,27 +101,53 @@ def repair_selection(
 
 def _recover(csr, uncovered: np.ndarray) -> list:
     """Greedy-DisC over the ``uncovered`` objects of ``csr`` (consumed):
-    the picks in order, ties to the lowest id."""
+    the picks in order, ties to the lowest id.
+
+    Runs as the compiled kernel's Greedy-DisC pass, with uncovered as
+    white and everything else as grey (neither a candidate nor a
+    source); without the kernel, as the legacy lazy-heap greedy."""
     picks: list = []
     if not np.any(uncovered):
         return picks
+    kernel = _kernel.load()
+    if kernel is None:
+        return _recover_heap(csr, uncovered)
+    codes = np.where(uncovered, np.int8(Color.WHITE), np.int8(Color.GREY))
+    for batch, _, _, _ in kernel.run(
+        csr, codes, np.empty(csr.n, dtype=np.int64), _kernel.MODE_COVER,
+        pool=int(np.count_nonzero(uncovered)), batch=CHECKPOINT_EVERY,
+        sentinel=int(NEG_INF), seed=True,
+    ):
+        picks.extend(batch.tolist())
+    return picks
+
+
+def _recover_heap(csr, uncovered: np.ndarray) -> list:
+    """The heap reference for :func:`_recover`: pop the uncovered object
+    with the most uncovered neighbors (lowest id on ties), cover its
+    neighborhood, and decrement around every newly covered object."""
     counts = csr.neighbor_counts(uncovered).astype(np.int64)
+    heap = LazyMaxHeap()
+    for object_id in np.flatnonzero(uncovered).tolist():
+        heap.push(object_id, int(counts[object_id]))
+    picks: list = []
     token = current_token()
-    iterations = 0
-    while True:
-        iterations += 1
-        if token is not None and iterations % CHECKPOINT_EVERY == 0:
+    while heap:
+        if token is not None and len(picks) % CHECKPOINT_EVERY == 0:
             token.checkpoint()
-        frontier = np.flatnonzero(uncovered)
-        if frontier.size == 0:
-            return picks
-        pick = int(frontier[np.argmax(counts[frontier])])
+        pick = heap.pop_valid(lambda i: int(counts[i]), lambda i: uncovered[i])
+        if pick is None:
+            break
         picks.append(pick)
-        neighbors = csr.neighbors(pick).astype(np.int64)
-        newly = neighbors[uncovered[neighbors]]
-        uncovered[newly] = False
         uncovered[pick] = False
-        csr.decrement(counts, np.append(newly, np.int64(pick)))
+        newly = [int(v) for v in csr.neighbors(pick) if uncovered[v]]
+        uncovered[newly] = False
+        for source in [pick] + newly:
+            for other in csr.neighbors(source).tolist():
+                if uncovered[other]:
+                    counts[other] -= 1
+                    heap.push(other, int(counts[other]))
+    return picks
 
 
 def repair_selection_delta(

@@ -22,7 +22,12 @@ from repro.cancellation import (
     OperationCancelled,
     cancellation_scope,
 )
+from repro.cancellation import CHECKPOINT_EVERY
 from repro.core import greedy_disc, zoom_out
+from repro.core._common import attach_fresh_coloring
+from repro.core.coloring import Color
+from repro.core.greedy import greedy_cover
+from repro.datasets import clustered_dataset
 from repro.distance import EUCLIDEAN
 from repro.graph.blocked import build_blocked_grid
 from repro.index import GridIndex
@@ -195,3 +200,51 @@ class TestZoomOutRedPassCancellation:
         # A clean follow-up run proves no state leaked from the abort.
         follow_up = self._zoom(index, previous)
         assert follow_up.size > 0
+
+
+class TestKernelBatchCancellation:
+    """The compiled kernel returns to Python every CHECKPOINT_EVERY
+    picks, so a budget that expires mid-selection stops a 20k Greedy-DisC
+    within one batch: exactly one batch of picks lands before the second
+    checkpoint raises, none before an expired first one."""
+
+    RADIUS = 0.025
+
+    @pytest.fixture(scope="class")
+    def index(self):
+        index = GridIndex(clustered_dataset(n=20_000, seed=1).points, EUCLIDEAN)
+        index.csr_neighborhood(self.RADIUS)
+        return index
+
+    def _select(self, index, token):
+        selected = []
+        coloring = attach_fresh_coloring(index)
+        try:
+            with cancellation_scope(token):
+                with pytest.raises(OperationCancelled):
+                    greedy_cover(
+                        index, self.RADIUS, coloring,
+                        initial_counts=index.neighborhood_sizes(self.RADIUS),
+                        selected=selected,
+                    )
+        finally:
+            index.detach_coloring()
+        return selected, coloring
+
+    def test_uncancelled_run_spans_several_batches(self, index):
+        assert greedy_disc(index, self.RADIUS).size > CHECKPOINT_EVERY
+
+    def test_expired_token_aborts_before_any_pick(self, index):
+        token = CancellationToken.with_timeout(0.0, source="client")
+        selected, coloring = self._select(index, token)
+        assert selected == []
+        assert coloring.count(Color.BLACK) == 0
+
+    def test_budget_expiring_mid_run_stops_within_one_batch(self, index):
+        selected, coloring = self._select(index, _BudgetToken(2))
+        assert len(selected) == CHECKPOINT_EVERY
+        # The aborted pass leaves a consistent coloring behind.
+        assert coloring.count(Color.BLACK) == CHECKPOINT_EVERY
+        assert coloring.count(Color.WHITE) == int(
+            np.count_nonzero(coloring.codes_view() == int(Color.WHITE))
+        )

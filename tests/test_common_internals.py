@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core._common import ClosestBlackTracker, LazyMaxHeap, query_neighbors
-from repro.distance import EUCLIDEAN
+from repro.distance import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 from repro.index import BruteForceIndex
 from repro.mtree import MTreeIndex
 
@@ -77,6 +77,30 @@ class TestClosestBlackTracker:
         tracker = ClosestBlackTracker(index)
         tracker.record_black(3, [])
         assert tracker.distances[3] == 0.0
+
+    @pytest.mark.parametrize("metric", [EUCLIDEAN, MANHATTAN, CHEBYSHEV])
+    def test_batch_equals_per_black_replay(self, metric):
+        """``record_blacks`` (one batch, overlapping rows, a black that
+        is another's neighbor, an empty row) leaves the same distance
+        bytes and counter as one ``record_black`` per black."""
+        rng = np.random.default_rng(4)
+        points = rng.random((60, 9))
+        blacks = [3, 17, 40, 8]
+        rows = [[1, 2, 17, 30], [2, 5, 30, 59], [], [3, 1, 44]]
+        one = BruteForceIndex(points, metric)
+        per_black = ClosestBlackTracker(one)
+        for black, row in zip(blacks, rows):
+            per_black.record_black(black, row)
+        batch = BruteForceIndex(points, metric)
+        batched = ClosestBlackTracker(batch)
+        row_ptr = np.cumsum([0] + [len(r) for r in rows])
+        batched.record_blacks(
+            np.asarray(blacks), row_ptr, np.asarray(sum(rows, []), dtype=np.int64)
+        )
+        np.testing.assert_array_equal(batched.distances, per_black.distances)
+        assert (
+            batch.stats.distance_computations == one.stats.distance_computations
+        )
 
 
 class TestQueryNeighbors:

@@ -91,6 +91,23 @@ class TestVectorisedForms:
         for i, point in enumerate(pts):
             assert vector[i] == pytest.approx(metric.distance(point, target))
 
+    @pytest.mark.parametrize("dim", [2, 8, 17])
+    @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
+    def test_to_point_is_bit_identical_to_paired_and_pairwise(self, metric, dim, rng):
+        """Per-query scans (``to_point``), batched closest-black updates
+        (``paired``) and adjacency builds (``pairwise``) must agree to
+        the bit, or exact radius ties resolve differently per path."""
+        if isinstance(metric, HammingMetric):
+            pts = rng.integers(0, 5, size=(40, dim))
+        else:
+            pts = rng.random((40, dim))
+        target = pts[7]
+        vector = metric.to_point(pts, target)
+        np.testing.assert_array_equal(
+            vector, metric.paired(pts, np.repeat(target[None], 40, axis=0))
+        )
+        np.testing.assert_array_equal(vector, metric.pairwise(pts, pts[7:8])[:, 0])
+
     @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.name)
     def test_pairwise_matches_scalar(self, metric, rng):
         if isinstance(metric, HammingMetric):
