@@ -435,157 +435,175 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import asyncio
-    import signal
-
-    from repro.service import (
-        DatasetRegistry,
-        DiscServer,
-        FaultConfig,
-        FaultInjector,
-        ServiceState,
-        SharedCacheManager,
-    )
+    from repro.service import FaultConfig
+    from repro.service.supervisor import start_supervised
 
     names = [name.strip() for name in args.datasets.split(",") if name.strip()]
     if not names:
         raise SystemExit("--datasets must name at least one dataset")
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
-    if args.workers > 1:
-        return _serve_supervised(args, names)
-    registry = DatasetRegistry()
-    for name in names:
-        try:
-            registry.register_builtin(name, n=args.n, seed=args.seed)
-            if args.live:
-                registry.promote_live(name)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
     faults = None
     if args.faults:
-        import json as _json
-
         try:
-            faults = FaultInjector(FaultConfig.from_dict(_json.loads(args.faults)))
+            faults = FaultConfig.from_dict(json.loads(args.faults)).to_dict()
         except (ValueError, TypeError) as exc:
             raise SystemExit(f"--faults: {exc}") from None
-    cache = SharedCacheManager(
-        max_entries=args.cache_entries,
-        max_bytes=None if args.cache_mb is None else int(args.cache_mb * 2**20),
+    # One process or N workers: every server is built from these.
+    options = dict(
+        host=args.host,
+        n=args.n,
+        seed=args.seed,
+        engine=args.engine,
+        threads=args.threads,
+        max_inflight=args.max_inflight or None,
+        cache_entries=args.cache_entries,
+        cache_mb=args.cache_mb,
         ttl_s=args.ttl,
+        default_timeout_ms=args.default_timeout_ms,
+        max_timeout_ms=args.max_timeout_ms,
         faults=faults,
+        live=args.live,
+        drain_s=args.drain_timeout,
+    )
+    store = None
+    try:
+        if args.workers > 1:
+            hosted = start_supervised(
+                names,
+                args.workers,
+                port=args.port,
+                use_shm=not args.no_shm,
+                replication=args.replication,
+                trace_log=args.trace_log,
+                **options,
+            )
+            detail = (
+                f"workers={args.workers}x{args.threads} threads; supervised; "
+                f"shm={'off' if args.no_shm else 'on'}"
+            )
+        else:
+            config = dict(options, datasets=names, trace_log=args.trace_log)
+            hosted, store = _host_service(config, args.port)
+            detail = f"threads={args.threads}"
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    ready = (
+        f"[serve] listening on http://{args.host}:{hosted.port} "
+        f"(datasets: {', '.join(names)}; engine={args.engine}; {detail})"
+    )
+    return _serve_until_signal(
+        hosted, store, args.drain_timeout, ready, "[serve] shutting down"
+    )
+
+
+def _host_service(config: dict, port: int):
+    """One :class:`~repro.service.server.DiscServer` on a loop thread,
+    from one server config; returns ``(RunningService, shm store or None)``.
+
+    The config is a :func:`~repro.service.supervisor.build_worker_configs`
+    dict (``repro worker --config``) or the same keys from single-process
+    ``repro serve``.  A config with a ``worker_id`` is a supervised
+    worker: it names itself in ``/stats`` and arms process-level faults.
+    """
+    from repro.service import (
+        DatasetRegistry,
+        DiscServer,
+        FaultConfig,
+        FaultInjector,
+        RunningService,
+        ServiceState,
+        SharedCacheManager,
+    )
+    from repro.service import shm as shm_mod
+    from repro.service.registry import BUILTIN_DATASETS
+    from repro.service.supervisor import shared_dataset_loader
+
+    names = list(config.get("datasets") or [])
+    if not names:
+        raise ValueError("config names no datasets")
+    worker_id = config.get("worker_id")
+    seed = config.get("seed")
+    seed = 42 if seed is None else int(seed)
+    n = config.get("n")
+    store = None
+    if config.get("run_id") and shm_mod.shm_available():
+        store = shm_mod.SharedSegmentStore(config["run_id"])
+    registry = DatasetRegistry()
+    for name in names:
+        if store is not None and name in BUILTIN_DATASETS:
+            registry.register_spec(
+                name,
+                shared_dataset_loader(store, name, n, seed),
+                family=name,
+                seed=seed,
+                shared_points=True,
+            )
+        else:
+            registry.register_builtin(name, n=n, seed=seed)
+        if config.get("live"):
+            # Mutable serving, loaded now: version 0 must exist before
+            # the supervisor replays any mutation log at this worker.
+            registry.promote_live(name)
+    faults = None
+    if config.get("faults"):
+        faults = FaultInjector(
+            FaultConfig.from_dict(config["faults"]),
+            process_faults=worker_id is not None,
+        )
+    cache_mb = config.get("cache_mb")
+    cache = SharedCacheManager(
+        max_entries=int(config.get("cache_entries", 64)),
+        max_bytes=None if cache_mb is None else int(cache_mb * 2**20),
+        ttl_s=config.get("ttl_s"),
+        faults=faults,
+        backing=None if store is None else shm_mod.ShmCacheBacking(store),
     )
     state = ServiceState(
         registry,
         cache=cache,
-        engine=args.engine,
-        workers=args.threads,
-        max_inflight=args.max_inflight or None,
-        default_timeout_ms=args.default_timeout_ms,
-        max_timeout_ms=args.max_timeout_ms,
+        engine=config.get("engine") or "auto",
+        engine_options=config.get("engine_options") or None,
+        workers=int(config.get("threads", 4)),
+        max_inflight=config.get("max_inflight"),
+        default_timeout_ms=config.get("default_timeout_ms"),
+        max_timeout_ms=config.get("max_timeout_ms"),
         faults=faults,
+        identity=(
+            None if worker_id is None
+            else {"worker_id": int(worker_id), "pid": os.getpid()}
+        ),
     )
-
-    async def _main() -> None:
-        server = DiscServer(
-            state,
-            host=args.host,
-            port=args.port,
-            drain_s=args.drain_timeout,
-            trace_log=args.trace_log,
-        )
-        await server.start()
-        print(
-            f"[serve] listening on http://{args.host}:{server.port} "
-            f"(datasets: {', '.join(registry.names())}; engine={args.engine}; "
-            f"threads={args.threads}; cache="
-            f"{'off' if cache is None else 'shared'})",
-            flush=True,
-        )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-unix event loop; KeyboardInterrupt still works
-        try:
-            await stop.wait()
-        except KeyboardInterrupt:  # pragma: no cover - signal-handler path
-            pass
-        print("[serve] shutting down", flush=True)
-        await server.stop()
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:  # pragma: no cover - windows fallback
-        pass
-    finally:
-        state.close()
-    return 0
+    server = DiscServer(
+        state,
+        host=config.get("host") or "127.0.0.1",
+        port=port,
+        trace_log=config.get("trace_log"),
+    )
+    return RunningService(state, server), store
 
 
-def _serve_supervised(args, names) -> int:
-    """``repro serve --workers N`` (N > 1): the supervised cluster."""
+def _serve_until_signal(hosted, store, drain_s, ready: str, stopping=None) -> int:
+    """The foreground of every server: print ``ready``, block until
+    SIGINT/SIGTERM, then stop ``hosted`` (draining up to ``drain_s``)
+    and detach ``store``."""
     import signal
     import threading
 
-    from repro.service import FaultConfig
-    from repro.service.supervisor import start_supervised
-
-    faults = None
-    if args.faults:
-        import json as _json
-
-        try:
-            faults = FaultConfig.from_dict(_json.loads(args.faults)).to_dict()
-        except (ValueError, TypeError) as exc:
-            raise SystemExit(f"--faults: {exc}") from None
-    try:
-        cluster = start_supervised(
-            names,
-            args.workers,
-            host=args.host,
-            port=args.port,
-            use_shm=not args.no_shm,
-            replication=args.replication,
-            n=args.n,
-            seed=args.seed,
-            engine=args.engine,
-            threads=args.threads,
-            max_inflight=args.max_inflight or None,
-            cache_entries=args.cache_entries,
-            cache_mb=args.cache_mb,
-            ttl_s=args.ttl,
-            default_timeout_ms=args.default_timeout_ms,
-            max_timeout_ms=args.max_timeout_ms,
-            faults=faults,
-            live=args.live,
-            drain_s=args.drain_timeout,
-            trace_log=args.trace_log,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    print(
-        f"[serve] listening on http://{args.host}:{cluster.port} "
-        f"(datasets: {', '.join(names)}; engine={args.engine}; "
-        f"workers={args.workers}x{args.threads} threads; supervised; "
-        f"shm={'off' if args.no_shm else 'on'})",
-        flush=True,
-    )
+    print(ready, flush=True)
     stop = threading.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            signal.signal(signum, lambda *_: stop.set())
-        except (ValueError, OSError):  # pragma: no cover - non-main thread
-            pass
+        signal.signal(signum, lambda *_: stop.set())
+    stop.wait()
+    if stopping:
+        print(stopping, flush=True)
     try:
-        stop.wait()
-    except KeyboardInterrupt:
-        pass
-    print("[serve] shutting down", flush=True)
-    cluster.stop(drain_s=args.drain_timeout)
+        hosted.stop(drain_s)
+    finally:
+        if store is not None:
+            # Detach only — the segments belong to the supervisor's
+            # run lease and outlive any single worker.
+            store.close()
     return 0
 
 
@@ -596,133 +614,32 @@ def _cmd_worker(args) -> int:
     stdout, and serves until SIGTERM.  Any startup failure is reported
     as a ``worker_error`` JSON line so the supervisor can surface it.
     """
-    import asyncio
-    import json as _json
-    import signal
-
-    from repro.service import (
-        DatasetRegistry,
-        DiscServer,
-        FaultConfig,
-        FaultInjector,
-        ServiceState,
-        SharedCacheManager,
-    )
-    from repro.service import shm as shm_mod
-    from repro.service.registry import BUILTIN_DATASETS
-    from repro.service.supervisor import shared_dataset_loader
 
     def _fail(message: str) -> int:
-        print(_json.dumps({"worker_error": message}), flush=True)
+        print(json.dumps({"worker_error": message}), flush=True)
         return 2
 
     try:
-        config = _json.loads(args.config)
+        config = json.loads(args.config)
     except ValueError as exc:
         return _fail(f"bad --config JSON: {exc}")
     if not isinstance(config, dict):
         return _fail("--config must be a JSON object")
-
-    store = None
-    state = None
+    config.setdefault("worker_id", 0)
     try:
-        worker_id = int(config.get("worker_id", 0))
-        names = list(config.get("datasets") or [])
-        if not names:
-            return _fail("worker config names no datasets")
-        seed = int(config.get("seed") or 42)
-        n = config.get("n")
-        run_id = config.get("run_id")
-        if run_id and shm_mod.shm_available():
-            store = shm_mod.SharedSegmentStore(run_id)
-        registry = DatasetRegistry()
-        for name in names:
-            if store is not None and name in BUILTIN_DATASETS:
-                registry.register_spec(
-                    name,
-                    shared_dataset_loader(store, name, n, seed),
-                    family=name,
-                    seed=seed,
-                    shared_points=True,
-                )
-            else:
-                registry.register_builtin(name, n=n, seed=seed)
-        if config.get("live"):
-            # Mutable serving: every dataset becomes a MutableDataset
-            # (loaded now — version 0 must exist before the supervisor
-            # replays any mutation log at this worker).
-            for name in names:
-                registry.promote_live(name)
-        faults = None
-        if config.get("faults"):
-            faults = FaultInjector(
-                FaultConfig.from_dict(config["faults"]), process_faults=True
-            )
-        cache_mb = config.get("cache_mb")
-        cache = SharedCacheManager(
-            max_entries=int(config.get("cache_entries") or 64),
-            max_bytes=None if cache_mb is None else int(cache_mb * 2**20),
-            ttl_s=config.get("ttl_s"),
-            faults=faults,
-            backing=None if store is None else shm_mod.ShmCacheBacking(store),
-        )
-        state = ServiceState(
-            registry,
-            cache=cache,
-            engine=config.get("engine") or "auto",
-            engine_options=config.get("engine_options") or None,
-            workers=int(config.get("threads") or 4),
-            max_inflight=config.get("max_inflight"),
-            default_timeout_ms=config.get("default_timeout_ms"),
-            max_timeout_ms=config.get("max_timeout_ms"),
-            faults=faults,
-            identity={"worker_id": worker_id, "pid": os.getpid()},
-        )
+        hosted, store = _host_service(config, 0)
     except Exception as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
-
-    async def _main() -> None:
-        server = DiscServer(
-            state,
-            host=config.get("host") or "127.0.0.1",
-            port=0,
-            drain_s=float(config.get("drain_s") or 5.0),
-            trace_log=config.get("trace_log"),
-        )
-        await server.start()
-        print(
-            _json.dumps(
-                {
-                    "worker_ready": True,
-                    "worker_id": worker_id,
-                    "port": server.port,
-                    "pid": os.getpid(),
-                    "datasets": names,
-                }
-            ),
-            flush=True,
-        )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        await stop.wait()
-        await server.stop()
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:  # pragma: no cover - signal fallback
-        pass
-    finally:
-        state.close()
-        if store is not None:
-            # Detach only — the segments belong to the supervisor's
-            # run lease and outlive any single worker.
-            store.close()
-    return 0
+    ready = json.dumps({
+        "worker_ready": True,
+        "worker_id": config["worker_id"],
+        "port": hosted.port,
+        "pid": os.getpid(),
+        "datasets": config["datasets"],
+    })
+    return _serve_until_signal(
+        hosted, store, float(config.get("drain_s", 5.0)), ready
+    )
 
 
 def _cmd_trace(args) -> int:

@@ -110,6 +110,11 @@ class Counter(_Metric):
         with self._lock:
             return float(self._samples.get(key, 0.0))
 
+    def by_label(self) -> Dict[str, float]:
+        """Every sample of a one-label counter, keyed by its label value."""
+        with self._lock:
+            return {key[0]: float(value) for key, value in self._samples.items()}
+
 
 class Gauge(_Metric):
     kind = "gauge"

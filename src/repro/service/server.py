@@ -1,9 +1,18 @@
-"""Asyncio JSON-over-HTTP front end for the DisC serving layer.
+"""The HTTP core of the serving layer, and the single-process server.
 
 Stdlib-only (``asyncio`` streams + a minimal HTTP/1.1 reader): the
-container this runs in has NumPy/SciPy but no web framework, and the
-protocol surface is five endpoints of JSON — a framework would be the
-heavier dependency, not the simpler code.
+protocol surface is a handful of JSON endpoints, so a web framework
+would be the heavier dependency, not the simpler code.
+
+:class:`HTTPCore` is what :class:`DiscServer` (one process over one
+:class:`~repro.service.state.ServiceState`) and the supervised front
+(:class:`~repro.service.supervisor.Supervisor`) share: the keep-alive
+connection loop with its request span, response write, trace record
+and drain-on-stop, the one error map (:func:`error_response`), and the
+request accounting — ``repro_http_*`` in the metrics registry, which
+``/stats`` reads back.  Each server supplies its route table and its
+``Server-Timing`` value.  The benchmark's trace hook wraps
+:func:`write_http_response` by this path.
 
 Endpoints
 ---------
@@ -35,6 +44,8 @@ Endpoints
 ``GET /stats``
     Counters, shared-cache info, single-flight accounting, breaker and
     fault-injection state.
+``GET /metrics``
+    The metrics registry as Prometheus text.
 
 Compute bodies additionally accept two transport-level fields stripped
 before validation: ``timeout_ms`` (per-request deadline budget, capped
@@ -60,22 +71,27 @@ the same dataset still share the materialised adjacency.
 
 Error contract
 --------------
-Every non-200 body is ``{"error": {"code": ..., "message": ...}}``.
-Unknown dataset → 404; validation errors → 400; client deadline
-(``timeout_ms``) expired → 408; server-imposed deadline expired → 504;
-overload / failed or circuit-broken builds / injected faults → 503;
-anything unexpected → 500 carrying only the exception *type* name —
-raw ``str(exc)`` of arbitrary exceptions never reaches the wire.
+Every non-200 body is ``{"error": {"code": ..., "message": ...}}``, on
+both servers.  A body that is not a JSON object or a malformed
+``Content-Length`` → 400; a body over :data:`MAX_BODY_BYTES` → 413;
+unknown path → 404; wrong method → 405; unknown dataset → 404;
+validation errors → 400; client deadline (``timeout_ms``) expired →
+408; server-imposed deadline expired → 504; overload / failed or
+circuit-broken builds / injected faults → 503; anything unexpected →
+500 carrying only the exception *type* name — raw ``str(exc)`` of
+arbitrary exceptions never reaches the wire.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple, Union
+from http import HTTPStatus
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro import __version__
 from repro.obs import trace as obs_trace
@@ -92,12 +108,20 @@ from repro.service.state import ServiceState, canonical_key
 
 __all__ = [
     "DiscServer",
+    "Forwarded",
+    "HTTPCore",
+    "HTTPError",
+    "LoopThread",
     "RunningService",
     "ServiceUnavailable",
+    "error_response",
+    "read_http_headers",
     "read_http_request",
     "start_in_thread",
     "write_http_response",
 ]
+
+_log = logging.getLogger(__name__)
 
 #: Hard cap on request body size (JSON) — 16 MiB is far beyond any
 #: legitimate request and keeps a misbehaving client from ballooning
@@ -108,9 +132,64 @@ MAX_HEADER_BYTES = 64 * 1024
 #: Completed responses replayable by idempotency key (LRU-bounded).
 IDEMPOTENCY_CACHE_SIZE = 128
 
+#: The metric families the HTTP core keeps per server.  The supervised
+#: front leaves its workers' copies out of the cluster exposition: every
+#: client request passes the front, so only its own count is the
+#: client's.
+HTTP_FAMILIES = frozenset((
+    "repro_http_requests_total",
+    "repro_http_responses_total",
+    "repro_request_duration_seconds",
+))
+
 
 class ServiceUnavailable(RuntimeError):
     """Raised internally when admission control rejects a request."""
+
+
+class HTTPError(Exception):
+    """A request answered with ``status`` and a structured error body.
+
+    Routing raises it (404/405), and :func:`read_http_request` does for
+    a body it cannot hand on, attaching the parsed head as ``request``
+    (keep-alive False when the body framing is lost) so the connection
+    loop can still label, trace and answer it.
+    """
+
+    def __init__(self, status: int, code: str, message: str, request=None) -> None:
+        super().__init__(message)
+        self.status = status
+        self.code = code
+        self.request = request
+
+
+#: Failure classes → (status, code), first match wins.  A ``KeyError``
+#: names the missing dataset; its message is the key itself.
+_ERROR_MAP = (
+    (KeyError, 404, "not_found"),
+    ((ValueError, TypeError), 400, "bad_request"),
+    (BuildFailed, 503, "build_failed"),
+    (CircuitOpen, 503, "circuit_open"),
+    (InjectedFault, 503, "injected_fault"),
+    (ServiceUnavailable, 503, "overloaded"),
+)
+
+
+def error_response(exc: Exception) -> Tuple[int, dict]:
+    """The one failure → ``(status, error body)`` map of both servers."""
+    if isinstance(exc, HTTPError):
+        return exc.status, error_body(exc.code, str(exc))
+    if isinstance(exc, OperationCancelled):
+        if exc.source == "client":
+            return 408, error_body("deadline_exceeded", str(exc))
+        return 504, error_body("server_deadline_exceeded", str(exc))
+    for kinds, status, code in _ERROR_MAP:
+        if isinstance(exc, kinds):
+            text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            return status, error_body(code, str(text))
+    # Deliberately NOT str(exc): arbitrary exception text can embed
+    # paths, array reprs, anything — leak nothing.
+    return 500, error_body("internal", f"unexpected {type(exc).__name__}")
 
 
 #: Paths a metric label carries verbatim; any other path reads ``other``.
@@ -125,12 +204,8 @@ def metric_path(path: str) -> str:
 
 
 def metric_endpoint(method: str, path: str) -> str:
-    """The ``"<method> <path>"`` key of the per-endpoint request counters.
-
-    Both halves are bounded (method ``GET``/``POST``/``other``, path
-    through :func:`metric_path`), so no client input can grow
-    ``/stats`` or ``/metrics``.
-    """
+    """The ``"<method> <path>"`` request-counter key, both halves bounded
+    so no client input can grow ``/stats`` or ``/metrics``."""
     if method not in ("GET", "POST"):
         method = "other"
     return f"{method} {metric_path(path)}"
@@ -140,31 +215,37 @@ def _json_bytes(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    408: "Request Timeout",
-    413: "Payload Too Large",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+
+
+async def read_http_headers(reader, size: int = 0) -> Dict[str, str]:
+    """Header lines up to the blank line, names lowercased.  ``size``
+    bytes already read count toward :data:`MAX_HEADER_BYTES`."""
+    headers: Dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        size += len(line)
+        if size > MAX_HEADER_BYTES:
+            raise asyncio.LimitOverrunError("headers too large", size)
+        if line in (b"\r\n", b"\n"):
+            return headers
+        if not line:
+            raise asyncio.IncompleteReadError(b"", None)
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
 
 
 async def read_http_request(
     reader,
-) -> Optional[Tuple[str, str, bool, Optional[dict], Dict[str, str]]]:
+) -> Optional[Tuple[str, str, bool, dict, Dict[str, str]]]:
     """Parse one HTTP/1.1 request from a stream; None on clean EOF.
 
-    Returns ``(method, path, keep_alive, body, headers)`` — header
-    names lowercased, so the trace header is ``headers.get
-    ("x-repro-trace")``.  Shared by :class:`DiscServer` and the
-    supervisor front (both speak the same minimal dialect).  Framing
-    errors that make the connection unusable surface as sentinel paths
-    (``\\x00too-large`` etc.) so the caller can still answer before
-    dropping the connection.
+    Returns ``(method, path, keep_alive, body, headers)`` — ``body`` a
+    JSON object (``{}`` when there is none), header names lowercased,
+    so the trace header is ``headers.get("x-repro-trace")``.  A request
+    that cannot be handed on raises :class:`HTTPError` carrying its
+    parsed head; a connection that broke mid-head raises
+    ``IncompleteReadError``/``LimitOverrunError`` and gets no answer.
     """
     request_line = await reader.readline()
     if not request_line:
@@ -173,69 +254,63 @@ async def read_http_request(
         method, target, version = request_line.decode("latin-1").split()
     except ValueError:
         raise asyncio.IncompleteReadError(request_line, None)
-    headers: Dict[str, str] = {}
-    total = len(request_line)
-    while True:
-        line = await reader.readline()
-        total += len(line)
-        if total > MAX_HEADER_BYTES:
-            raise asyncio.LimitOverrunError("headers too large", total)
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+    headers = await read_http_headers(reader, len(request_line))
     keep_alive = headers.get("connection", "keep-alive").lower() != "close"
     if not version.endswith("1.1"):
         keep_alive = headers.get("connection", "close").lower() == "keep-alive"
+    method = method.upper()
+    path = target.split("?", 1)[0]
     try:
         length = int(headers.get("content-length", "0") or "0")
     except ValueError:
         length = -1
-    if length < 0:
-        # Unparsable/negative Content-Length: answer 400 and drop
-        # the connection (the body framing is unknowable).
-        return method.upper(), "\x00bad-length", False, None, headers
-    if length > MAX_BODY_BYTES:
-        # Drain enough to answer, then force-close the connection.
-        return method.upper(), "\x00too-large", False, None, headers
-    body: Optional[dict] = None
+    if length < 0 or length > MAX_BODY_BYTES:
+        # The body is left unread, so its framing is lost: answer, then
+        # drop the connection.
+        head = (method, path, False, {}, headers)
+        if length < 0:
+            raise HTTPError(400, "bad_request", "invalid Content-Length header", head)
+        raise HTTPError(413, "payload_too_large", "request body too large", head)
+    body: dict = {}
     if length:
         raw = await reader.readexactly(length)
+        head = (method, path, keep_alive, {}, headers)
         try:
             body = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            body = {"\x00invalid-json": True}
-    path = target.split("?", 1)[0]
-    return method.upper(), path, keep_alive, body, headers
+        except ValueError:
+            raise HTTPError(
+                400, "bad_request", "request body is not valid JSON", head
+            ) from None
+        if not isinstance(body, dict):
+            raise HTTPError(
+                400, "bad_request", "request body must be a JSON object", head
+            )
+    return method, path, keep_alive, body, headers
 
 
 async def write_http_response(
     writer,
     status: int,
-    payload: Union[dict, bytes],
+    payload: Union[dict, bytes, str],
     keep_alive: bool,
     extra_headers=None,
 ) -> None:
     """Serialise one response (module-level twin of the reader).
 
-    ``payload`` is JSON unless it carries the ``\\x00text`` sentinel
-    key, in which case that value goes out verbatim as Prometheus-style
-    ``text/plain`` (the ``/metrics`` endpoint).  ``bytes`` are an
-    already-encoded JSON body and go out verbatim (the supervised front
-    forwarding a worker's answer).  ``extra_headers`` is an iterable of
-    ``(name, value)`` pairs — ``X-Repro-Trace`` and ``Server-Timing``
-    ride here.
+    A ``dict`` goes out as JSON, ``bytes`` as an already-encoded JSON
+    body (the supervised front forwarding a worker's answer), a ``str``
+    as Prometheus-style ``text/plain`` (``/metrics``).
+    ``extra_headers`` is an iterable of ``(name, value)`` pairs —
+    ``X-Repro-Trace`` and ``Server-Timing`` ride here.
     """
-    text = payload.get("\x00text") if isinstance(payload, dict) else None
+    content_type = "application/json"
     if isinstance(payload, bytes):
         body = payload
-        content_type = "application/json"
-    elif text is not None:
-        body = text.encode("utf-8")
+    elif isinstance(payload, str):
+        body = payload.encode("utf-8")
         content_type = "text/plain; version=0.0.4; charset=utf-8"
     else:
         body = _json_bytes(payload)
-        content_type = "application/json"
     extra = ""
     for name, value in extra_headers or ():
         extra += f"{name}: {value}\r\n"
@@ -252,50 +327,38 @@ async def write_http_response(
     await writer.drain()
 
 
-class DiscServer:
-    """One listening socket over one :class:`ServiceState`.
+class Forwarded(NamedTuple):
+    """An upstream answer, sent as written; its Server-Timing leads ours."""
 
-    ``port=0`` binds an ephemeral port; the bound port is available as
-    ``self.port`` after :meth:`start` (and printed by ``repro serve``),
-    which is how tests and the load harness avoid port races.
+    body: bytes
+    server_timing: Optional[str]
 
-    ``drain_s`` is the graceful-shutdown budget: :meth:`stop` first
-    closes the listener, then waits up to this long for in-flight
-    requests to answer before cancelling the remaining (idle
-    keep-alive) connections.
+
+class HTTPCore:
+    """One listening socket: the connection loop both servers share.
+
+    Subclasses set ``self._routes`` (path → ``(method, handler)``, each
+    handler an ``async (body) -> (status, payload)``) and implement
+    :meth:`_server_timing`.  ``port=0`` binds an ephemeral port; the
+    bound port is ``self.port`` after :meth:`start`.
     """
 
-    #: Lock discipline (convention in :mod:`repro.engines.cache`): all
-    #: of the server's mutable state is owned by the asyncio event loop
-    #: — never touched from executor threads — so the guard is the
-    #: ``event-loop`` sentinel, not a lock expression.
+    #: Lock discipline (convention in :mod:`repro.engines.cache`): the
+    #: connection bookkeeping is owned by the asyncio event loop.
     _GUARDED_BY = {
-        "_inflight": "event-loop",
-        "_idem_inflight": "event-loop",
-        "_completed": "event-loop",
         "_conn_tasks": "event-loop",
         "_active_requests": "event-loop",
-        "_mutation_seq": "event-loop",
     }
 
     def __init__(
-        self,
-        state: ServiceState,
-        host: str = "127.0.0.1",
-        port: int = 8722,
-        *,
-        drain_s: float = 5.0,
-        trace_log: Optional[str] = None,
-        trace_sink: Optional[TraceSink] = None,
+        self, host: str, port: int, *, drain_s: float, metrics,
+        trace_sink: Optional[TraceSink], trace_worker: Optional[dict],
     ) -> None:
-        self.state = state
         self.host = host
         self.port = port
         self.drain_s = float(drain_s)
-        if trace_sink is None and trace_log:
-            trace_sink = TraceSink(trace_log)
         self.trace_sink = trace_sink
-        metrics = state.metrics
+        self._trace_worker = trace_worker
         self._m_requests = metrics.counter(
             "repro_http_requests_total",
             "HTTP requests seen, by endpoint",
@@ -315,12 +378,8 @@ class DiscServer:
             "repro_traces_written_total", "Trace records written to the sink"
         )
         self._server: Optional[asyncio.AbstractServer] = None
-        self._inflight: Dict[str, asyncio.Future] = {}
-        self._idem_inflight: Dict[str, asyncio.Future] = {}
-        self._completed: "OrderedDict[str, dict]" = OrderedDict()
         self._conn_tasks: set = set()
         self._active_requests = 0
-        self._mutation_seq = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -334,10 +393,10 @@ class DiscServer:
     async def stop(self, drain_s: Optional[float] = None) -> None:
         """Stop accepting, drain in-flight requests, drop connections.
 
-        The drain loop watches the event-loop-owned active-request
-        gauge: requests already dispatched (including their executor
-        work) get up to ``drain_s`` seconds to write their responses;
-        idle keep-alive connections are then cancelled.
+        Requests already dispatched (including their executor work)
+        get up to ``drain_s`` (default: the constructor's) seconds to
+        write their responses; idle keep-alive connections are then
+        cancelled.
         """
         if drain_s is None:
             drain_s = self.drain_s
@@ -345,55 +404,60 @@ class DiscServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if drain_s > 0 and self._active_requests > 0:
-            deadline = time.monotonic() + drain_s
-            while self._active_requests > 0 and time.monotonic() < deadline:
-                await asyncio.sleep(0.02)
+        deadline = time.monotonic() + drain_s
+        while self._active_requests > 0 and time.monotonic() < deadline:
+            await asyncio.sleep(0.02)
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
+        if self.trace_sink is not None:
+            self.trace_sink.close()
 
     # ------------------------------------------------------------------
-    # HTTP plumbing
+    # The connection loop
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
         task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
+        self._conn_tasks.add(task)
         try:
             while True:
-                parsed = await self._read_request(reader)
-                if parsed is None:
+                error = None
+                try:
+                    request = await read_http_request(reader)
+                except HTTPError as exc:
+                    request, error = exc.request, exc
+                if request is None:
                     break
-                method, path, keep_alive, body, headers = parsed
+                method, path, keep_alive, body, headers = request
                 self._active_requests += 1
                 try:
                     self._m_requests.inc(endpoint=metric_endpoint(method, path))
                     with obs_trace.request_scope(
-                        "request",
-                        header=headers.get("x-repro-trace"),
+                        "request", header=headers.get("x-repro-trace")
                     ) as root:
-                        status, payload = await self._dispatch(method, path, body)
-                    faults = self.state.faults
-                    if faults is not None and faults.should_reset_connection():
-                        # Injected connection reset: the work happened,
-                        # the answer never leaves the socket (so it is
-                        # not counted as a response either).
+                        status, payload = await self._answer(
+                            method, path, body, error
+                        )
+                    if self._drop_answer():
                         writer.transport.abort()
                         return
-                    self.state.count_response(status)
+                    timing = self._server_timing(root)
+                    if isinstance(payload, Forwarded):
+                        if payload.server_timing:
+                            timing = f"{payload.server_timing}, {timing}"
+                        payload = payload.body
                     self._m_responses.inc(status=status)
                     self._m_duration.observe(
                         root.elapsed_ms() / 1000.0, path=metric_path(path)
                     )
-                    await self._write_response(
+                    await write_http_response(
                         writer, status, payload, keep_alive,
-                        extra_headers=self._trace_headers(root),
+                        extra_headers=[
+                            (obs_trace.TRACE_HEADER,
+                             obs_trace.format_trace_header(root)),
+                            ("Server-Timing", timing),
+                        ],
                     )
                     self._emit_trace(root, status, method, path)
                 finally:
@@ -410,29 +474,110 @@ class DiscServer:
         except asyncio.CancelledError:
             pass  # shutdown cancelled an idle keep-alive connection
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
+            self._conn_tasks.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
                 pass
 
-    async def _read_request(
-        self, reader
-    ) -> Optional[Tuple[str, str, bool, Optional[dict], Dict[str, str]]]:
-        return await read_http_request(reader)
+    async def _answer(self, method: str, path: str, body: dict, error):
+        """Route one request; every failure goes through :func:`error_response`."""
+        try:
+            if error is not None:
+                raise error
+            if method not in ("GET", "POST"):
+                raise HTTPError(
+                    405, "method_not_allowed", f"unsupported method {method}"
+                )
+            route = self._routes.get(path)
+            if route is None:
+                raise HTTPError(404, "not_found", f"unknown path {path!r}")
+            if route[0] != method:
+                raise HTTPError(
+                    405, "method_not_allowed", f"{path} requires {route[0]}"
+                )
+            return await route[1](body)
+        except Exception as exc:
+            status, payload = error_response(exc)
+            if status == 500:
+                _log.exception("unexpected failure answering %s %s", method, path)
+            return status, payload
 
-    async def _write_response(
-        self, writer, status: int, payload: dict, keep_alive: bool,
-        extra_headers=None,
-    ) -> None:
-        await write_http_response(
-            writer, status, payload, keep_alive, extra_headers=extra_headers
+    def _drop_answer(self) -> bool:
+        """Whether to reset the connection instead of answering."""
+        return False
+
+    def _emit_trace(self, root: obs_trace.Span, status: int, method: str,
+                    path: str) -> None:
+        if self.trace_sink is None:
+            return
+        self.trace_sink.emit(
+            build_record(
+                root, status=status, method=method, path=path,
+                worker=self._trace_worker,
+            )
         )
+        self._m_traces.inc()
 
-    def _trace_headers(self, root: obs_trace.Span):
-        """``X-Repro-Trace`` + ``Server-Timing`` for one finished root.
+    def http_counters(self) -> dict:
+        """``/stats``'s request accounting, read from the metrics registry."""
+        responses = {k: int(v) for k, v in self._m_responses.by_label().items()}
+        return {
+            "requests": {k: int(v) for k, v in self._m_requests.by_label().items()},
+            "responses": responses,
+            "timeouts": responses.get("408", 0) + responses.get("504", 0),
+        }
+
+
+class DiscServer(HTTPCore):
+    """The single-process server (also each supervised worker): the
+    endpoints above over one :class:`ServiceState`."""
+
+    #: Lock discipline (convention in :mod:`repro.engines.cache`): all
+    #: of the server's mutable state is owned by the asyncio event loop
+    #: — never touched from executor threads — so the guard is the
+    #: ``event-loop`` sentinel, not a lock expression.
+    _GUARDED_BY = {
+        "_inflight": "event-loop",
+        "_idem_inflight": "event-loop",
+        "_completed": "event-loop",
+        "_mutation_seq": "event-loop",
+    }
+
+    def __init__(
+        self,
+        state: ServiceState,
+        host: str = "127.0.0.1",
+        port: int = 8722,
+        *,
+        drain_s: float = 5.0,
+        trace_log: Optional[str] = None,
+        trace_sink: Optional[TraceSink] = None,
+    ) -> None:
+        if trace_sink is None and trace_log:
+            trace_sink = TraceSink(trace_log)
+        super().__init__(
+            host, port, drain_s=drain_s, metrics=state.metrics,
+            trace_sink=trace_sink, trace_worker=state.identity,
+        )
+        self.state = state
+        self._inflight: Dict[str, asyncio.Future] = {}
+        self._idem_inflight: Dict[str, asyncio.Future] = {}
+        self._completed: "OrderedDict[str, dict]" = OrderedDict()
+        self._mutation_seq = 0
+        self._routes = {
+            "/healthz": ("GET", self._healthz),
+            "/stats": ("GET", self._stats),
+            "/metrics": ("GET", self._metrics),
+            "/datasets": ("GET", self._datasets),
+            "/select": ("POST", self._select),
+            "/zoom": ("POST", self._zoom),
+            "/mutate": ("POST", self._mutate),
+        }
+
+    def _server_timing(self, root: obs_trace.Span) -> str:
+        """``total``, ``build`` and ``select`` for one finished root.
 
         ``build`` totals the adjacency-build and shm-attach phases
         wherever they nested; ``select`` is the selection phase net of
@@ -442,108 +587,23 @@ class DiscServer:
         totals = obs_trace.phase_totals(root)
         build_ms = totals.get("adjacency-build", 0.0) + totals.get("shm-attach", 0.0)
         select_ms = max(totals.get("selection", 0.0) - build_ms, 0.0)
-        timing = (
+        return (
             f"total;dur={root.elapsed_ms():.3f}, "
             f"build;dur={build_ms:.3f}, "
             f"select;dur={select_ms:.3f}"
         )
-        return [
-            (obs_trace.TRACE_HEADER, obs_trace.format_trace_header(root)),
-            ("Server-Timing", timing),
-        ]
 
-    def _emit_trace(self, root: obs_trace.Span, status: int, method: str,
-                    path: str) -> None:
-        if self.trace_sink is None:
-            return
-        self.trace_sink.emit(
-            build_record(
-                root, status=status, method=method, path=path,
-                worker=self.state.identity,
-            )
-        )
-        self._m_traces.inc()
+    def _drop_answer(self) -> bool:
+        # Injected connection reset: the work happened, the answer never
+        # leaves the socket (so it is not counted as a response either).
+        faults = self.state.faults
+        return faults is not None and faults.should_reset_connection()
 
     # ------------------------------------------------------------------
-    # Routing
+    # Read endpoints
     # ------------------------------------------------------------------
-    async def _dispatch(
-        self, method: str, path: str, body: Optional[dict]
-    ) -> Tuple[int, dict]:
-        if path == "\x00too-large":
-            return 413, error_body("payload_too_large", "request body too large")
-        if path == "\x00bad-length":
-            return 400, error_body("bad_request", "invalid Content-Length header")
-        if isinstance(body, dict) and body.get("\x00invalid-json"):
-            return 400, error_body("bad_request", "request body is not valid JSON")
-        self.state.count_request(metric_endpoint(method, path))
-        try:
-            if method == "GET":
-                if path == "/healthz":
-                    return 200, self._healthz()
-                if path == "/stats":
-                    return 200, self.state.stats()
-                if path == "/metrics":
-                    return 200, {"\x00text": self.state.metrics.render()}
-                if path == "/datasets":
-                    return 200, {"datasets": self.state.registry.describe()}
-                if path in ("/select", "/zoom", "/mutate"):
-                    return 405, error_body(
-                        "method_not_allowed", f"{path} requires POST"
-                    )
-                return 404, error_body("not_found", f"unknown path {path!r}")
-            if method == "POST":
-                if path in ("/select", "/zoom", "/mutate"):
-                    faults = self.state.faults
-                    if faults is not None:
-                        # Process-level chaos (worker_crash /
-                        # worker_stall_hard) fires at dispatch so the
-                        # request is provably in flight when the worker
-                        # dies — the supervisor must replay it.  GET
-                        # probes never draw from the stream, so health
-                        # checks stay deterministic.
-                        faults.on_dispatch()
-                if path == "/select":
-                    return await self._select(body or {})
-                if path == "/zoom":
-                    return await self._zoom(body or {})
-                if path == "/mutate":
-                    return await self._mutate(body or {})
-                if path in ("/healthz", "/stats", "/datasets", "/metrics"):
-                    return 405, error_body(
-                        "method_not_allowed", f"{path} requires GET"
-                    )
-                return 404, error_body("not_found", f"unknown path {path!r}")
-            return 405, error_body(
-                "method_not_allowed", f"unsupported method {method}"
-            )
-        except KeyError as exc:
-            return 404, error_body(
-                "not_found", str(exc.args[0]) if exc.args else str(exc)
-            )
-        except (ValueError, TypeError) as exc:
-            return 400, error_body("bad_request", str(exc))
-        except OperationCancelled as exc:
-            if exc.source == "client":
-                return 408, error_body("deadline_exceeded", str(exc))
-            return 504, error_body("server_deadline_exceeded", str(exc))
-        except BuildFailed as exc:
-            return 503, error_body("build_failed", str(exc))
-        except CircuitOpen as exc:
-            return 503, error_body("circuit_open", str(exc))
-        except InjectedFault as exc:
-            return 503, error_body("injected_fault", str(exc))
-        except ServiceUnavailable as exc:
-            return 503, error_body("overloaded", str(exc))
-        except Exception as exc:  # pragma: no cover - defensive
-            # Deliberately NOT str(exc): arbitrary exception text can
-            # embed paths, array reprs, anything — leak nothing.
-            return 500, error_body(
-                "internal", f"unexpected {type(exc).__name__}"
-            )
-
-    def _healthz(self) -> dict:
-        return {
+    async def _healthz(self, body: dict) -> Tuple[int, dict]:
+        return 200, {
             "status": "ok",
             "version": __version__,
             "datasets": self.state.registry.names(),
@@ -551,27 +611,44 @@ class DiscServer:
             "uptime_s": round(time.time() - self.state.started_at, 3),
         }
 
+    async def _stats(self, body: dict) -> Tuple[int, dict]:
+        return 200, {**self.state.stats(), **self.http_counters()}
+
+    async def _metrics(self, body: dict) -> Tuple[int, str]:
+        return 200, self.state.metrics.render()
+
+    async def _datasets(self, body: dict) -> Tuple[int, dict]:
+        return 200, {"datasets": self.state.registry.describe()}
+
+    def _begin(self, payload: dict):
+        """Strip the transport fields of a compute body (runs on the
+        event loop, first thing in every compute handler)."""
+        faults = self.state.faults
+        if faults is not None:
+            # Process-level chaos (worker_crash / worker_stall_hard)
+            # fires at dispatch so the request is provably in flight
+            # when the worker dies — the supervisor must replay it.  GET
+            # probes never draw from the stream, so health checks stay
+            # deterministic.
+            faults.on_dispatch()
+        return extract_request_meta(payload)
+
     # ------------------------------------------------------------------
     # Compute endpoints (single-flighted)
     # ------------------------------------------------------------------
     async def _select(self, payload: dict) -> Tuple[int, dict]:
-        payload, timeout_ms, idem = extract_request_meta(payload)
+        payload, timeout_ms, idem = self._begin(payload)
         with obs_trace.phase("validate"):
             handle, request = self.state.validate_select(payload)
         token = self.state.deadline_token(timeout_ms)
         key = canonical_key("select", handle.dataset_id, request.to_dict())
-        shared, coalesced = await self._single_flight(
+        return await self._single_flight(
             key, idem, token,
             lambda: self.state.run_select(handle, request, token),
         )
-        response = dict(shared)
-        response["coalesced"] = coalesced
-        if coalesced:
-            obs_trace.annotate_root(coalesced=True)
-        return 200, response
 
     async def _zoom(self, payload: dict) -> Tuple[int, dict]:
-        payload, timeout_ms, idem = extract_request_meta(payload)
+        payload, timeout_ms, idem = self._begin(payload)
         with obs_trace.phase("validate"):
             handle, request, to_radius, zoom_options, previous = (
                 self.state.validate_zoom(payload)
@@ -587,21 +664,16 @@ class DiscServer:
             # — two zooms from different selections must not coalesce.
             key_payload["previous"] = previous["selected"]
         key = canonical_key("zoom", handle.dataset_id, key_payload)
-        shared, coalesced = await self._single_flight(
+        return await self._single_flight(
             key, idem, token,
             lambda: self.state.run_zoom(
                 handle, request, to_radius, zoom_options, token,
                 previous=previous,
             ),
         )
-        response = dict(shared)
-        response["coalesced"] = coalesced
-        if coalesced:
-            obs_trace.annotate_root(coalesced=True)
-        return 200, response
 
     async def _mutate(self, payload: dict) -> Tuple[int, dict]:
-        payload, timeout_ms, idem = extract_request_meta(payload)
+        payload, timeout_ms, idem = self._begin(payload)
         with obs_trace.phase("validate"):
             live, inserts, deletes, repair = self.state.validate_mutate(payload)
         token = self.state.deadline_token(timeout_ms)
@@ -614,15 +686,12 @@ class DiscServer:
         key = canonical_key(
             "mutate", live.name, {"seq": self._mutation_seq}
         )
-        shared, coalesced = await self._single_flight(
+        return await self._single_flight(
             key, idem, token,
             lambda: self.state.run_mutate(
                 live, inserts, deletes, repair, token
             ),
         )
-        response = dict(shared)
-        response["coalesced"] = coalesced
-        return 200, response
 
     async def _await_follower(self, future: asyncio.Future, token):
         """Wait on another request's computation within our own budget.
@@ -643,13 +712,22 @@ class DiscServer:
 
     def _remember(self, idem: str, result: dict) -> None:
         """Store a completed response for idempotent replay (runs on
-        the event loop, from ``_single_flight``)."""
+        the event loop, from ``_share``)."""
         self._completed[idem] = result
         self._completed.move_to_end(idem)
         while len(self._completed) > IDEMPOTENCY_CACHE_SIZE:
             self._completed.popitem(last=False)
 
     async def _single_flight(
+        self, key: str, idem: Optional[str], token, thunk
+    ) -> Tuple[int, dict]:
+        """The 200 answer of :meth:`_share`, marked ``coalesced``."""
+        shared, coalesced = await self._share(key, idem, token, thunk)
+        if coalesced:
+            obs_trace.annotate_root(coalesced=True)
+        return 200, {**shared, "coalesced": coalesced}
+
+    async def _share(
         self, key: str, idem: Optional[str], token, thunk
     ) -> Tuple[dict, bool]:
         """Run ``thunk`` in the executor, sharing identical in-flight work.
@@ -724,14 +802,38 @@ class DiscServer:
 # ----------------------------------------------------------------------
 # In-process hosting (tests, load harness, notebooks)
 # ----------------------------------------------------------------------
-class RunningService:
-    """A server running on a daemon thread, stoppable from the caller."""
+class LoopThread:
+    """A server on its own event-loop thread, stoppable from the caller
+    (base of :class:`RunningService` and
+    :class:`~repro.service.supervisor.SupervisorCluster`); a failed
+    ``server.start()`` is re-raised from the constructor."""
 
-    def __init__(self, state: ServiceState, server: DiscServer, loop, thread) -> None:
-        self.state = state
+    def __init__(self, server: HTTPCore, name: str, timeout_s: float) -> None:
         self.server = server
-        self._loop = loop
-        self._thread = thread
+        self._loop = asyncio.new_event_loop()
+        started = threading.Event()
+        failed: List[BaseException] = []
+
+        def _run() -> None:
+            asyncio.set_event_loop(self._loop)
+            try:
+                self._loop.run_until_complete(server.start())
+            except BaseException as exc:  # startup failed; surface it
+                failed.append(exc)
+                return
+            finally:
+                started.set()
+            self._loop.run_forever()
+
+        self._thread: Optional[threading.Thread] = threading.Thread(
+            target=_run, name=name, daemon=True
+        )
+        self._thread.start()
+        if not started.wait(timeout=timeout_s):  # pragma: no cover - defensive
+            raise RuntimeError(f"{name} event loop failed to start")
+        if failed:
+            self._loop.close()
+            raise failed[0]
 
     @property
     def host(self) -> str:
@@ -743,28 +845,40 @@ class RunningService:
 
     @property
     def address(self) -> str:
-        return f"http://{self.server.host}:{self.server.port}"
+        return f"http://{self.host}:{self.port}"
 
-    def stop(self, drain_s: Optional[float] = None) -> None:
-        """Stop accepting, drain the loop, join the thread, close state."""
+    def _stop_loop(self, drain_s: Optional[float], timeout_s: float) -> bool:
+        """Stop the server, end the loop, join its thread; False if that
+        already happened."""
         if self._thread is None:
-            return
+            return False
         asyncio.run_coroutine_threadsafe(
             self.server.stop(drain_s), self._loop
-        ).result(timeout=60)
+        ).result(timeout=timeout_s)
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=30)
         self._loop.close()
-        if self.server.trace_sink is not None:
-            self.server.trace_sink.close()
-        self.state.close()
         self._thread = None
+        return True
 
-    def __enter__(self) -> "RunningService":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+class RunningService(LoopThread):
+    """A :class:`DiscServer` on a daemon thread (:func:`start_in_thread`)."""
+
+    def __init__(self, state: ServiceState, server: DiscServer) -> None:
+        super().__init__(server, "disc-service-loop", timeout_s=30)
+        self.state = state
+
+    def stop(self, drain_s: Optional[float] = None) -> None:
+        """Stop accepting, drain the loop, join the thread, close state."""
+        if self._stop_loop(drain_s, timeout_s=60):
+            self.state.close()
 
 
 def start_in_thread(
@@ -778,18 +892,5 @@ def start_in_thread(
     Used by the load harness and the test suite; ``repro serve`` runs
     the loop in the foreground instead (see :mod:`repro.cli`).
     """
-    loop = asyncio.new_event_loop()
     server = DiscServer(state, host=host, port=port, trace_log=trace_log)
-    started = threading.Event()
-
-    def _run() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(server.start())
-        started.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=_run, name="disc-service-loop", daemon=True)
-    thread.start()
-    if not started.wait(timeout=30):  # pragma: no cover - defensive
-        raise RuntimeError("service event loop failed to start")
-    return RunningService(state, server, loop, thread)
+    return RunningService(state, server)

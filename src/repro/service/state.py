@@ -14,7 +14,8 @@ stays responsive.  It owns:
 * one :class:`~repro.index.base.NeighborIndex` per (dataset, engine
   spec), built on first use behind a per-key lock — the serving
   analogue of :class:`~repro.api.DiscSession`'s index-once contract,
-* request/computation counters for ``/stats``.
+* computation counters for ``/stats`` (request and response counts
+  live in the metrics registry, where the HTTP core keeps them).
 
 Selections run the same heuristics as :func:`repro.api.disc_select`
 over the same validated :class:`~repro.requests.SelectRequest`, so a
@@ -98,12 +99,9 @@ class ServiceState:
     #: the dedicated counter lock so hot-path increments never contend
     #: with index builds, which serialise on ``self._lock``.
     _GUARDED_BY = {
-        "requests": "self._counter_lock",
-        "responses": "self._counter_lock",
         "computations": "self._counter_lock",
         "coalesced_requests": "self._counter_lock",
         "degraded_responses": "self._counter_lock",
-        "timeouts": "self._counter_lock",
         "inflight": "self._counter_lock",
         "mutations_applied": "self._counter_lock",
         "_indexes": "self._lock",
@@ -170,14 +168,11 @@ class ServiceState:
         self._indexes: Dict[Tuple[str, str], object] = {}
         self._index_locks: Dict[Tuple[str, str], threading.Lock] = {}
         self._lock = threading.Lock()
-        # ``/stats`` counters (server increments requests/coalesced on
+        # ``/stats`` counters (the server counts coalesced requests on
         # the event loop; computations increment in worker threads).
-        self.requests: Dict[str, int] = {}
-        self.responses: Dict[str, int] = {}
         self.computations = 0
         self.coalesced_requests = 0
         self.degraded_responses = 0
-        self.timeouts = 0
         self.inflight = 0
         self.mutations_applied = 0
         self._counter_lock = threading.Lock()
@@ -185,17 +180,6 @@ class ServiceState:
     # ------------------------------------------------------------------
     # Counters
     # ------------------------------------------------------------------
-    def count_request(self, endpoint: str) -> None:
-        with self._counter_lock:
-            self.requests[endpoint] = self.requests.get(endpoint, 0) + 1
-
-    def count_response(self, status: int) -> None:
-        with self._counter_lock:
-            key = str(status)
-            self.responses[key] = self.responses.get(key, 0) + 1
-            if status in (408, 504):
-                self.timeouts += 1
-
     def count_coalesced(self) -> None:
         with self._counter_lock:
             self.coalesced_requests += 1
@@ -842,12 +826,9 @@ class ServiceState:
         """The ``/stats`` payload (plain JSON-serialisable dict)."""
         with self._counter_lock:
             counters = {
-                "requests": dict(self.requests),
-                "responses": dict(self.responses),
                 "computations": self.computations,
                 "coalesced_requests": self.coalesced_requests,
                 "degraded_responses": self.degraded_responses,
-                "timeouts": self.timeouts,
                 "inflight": self.inflight,
                 "mutations_applied": self.mutations_applied,
             }

@@ -1,11 +1,14 @@
 """Supervised multi-process serving: worker pool + failover front.
 
-PR 6 made a single serving process fault-tolerant; this module makes
-the *service* survive the death of its parts.  A front process owns
-the public socket and routes ``/select``/``/zoom`` to N worker
-processes (each a full :class:`~repro.service.server.DiscServer` over
-its own :class:`~repro.service.state.ServiceState`), supervises them,
-and recovers from their failures:
+A front process owns the public socket and routes ``/select``/``/zoom``
+to N worker processes (each a full
+:class:`~repro.service.server.DiscServer` over its own
+:class:`~repro.service.state.ServiceState`), supervises them, and
+recovers from their failures.  The front is the other
+:class:`~repro.service.server.HTTPCore`: it supplies a route table and
+its ``front;dur=`` timing.  Worker answers reach the client byte for
+byte; ``/stats`` and ``/metrics`` add up the workers' own, except their
+HTTP counts — each client request counts once, at the front.
 
 Routing and failover
     Datasets are assigned to workers (by default every worker serves
@@ -57,17 +60,19 @@ import time
 import uuid
 from collections import deque
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.sink import TraceSink, build_record
+from repro.obs.sink import TraceSink
 from repro.service.resilience import error_body
 from repro.service.server import (
+    HTTP_FAMILIES,
+    Forwarded,
+    HTTPCore,
+    LoopThread,
     _json_bytes,
-    metric_endpoint,
-    read_http_request,
-    write_http_response,
+    read_http_headers,
 )
 from repro.service import shm as shm_mod
 
@@ -311,15 +316,7 @@ async def _read_http_response(reader) -> Tuple[int, Dict[str, str], bytes, bool]
     if len(parts) < 2:
         raise asyncio.IncompleteReadError(status_line, None)
     status = int(parts[1])
-    headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n"):
-            break
-        if not line:
-            raise asyncio.IncompleteReadError(b"", None)
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+    headers = await read_http_headers(reader)
     length = int(headers.get("content-length", "0") or "0")
     body = await reader.readexactly(length) if length else b""
     keep_alive = headers.get("connection", "keep-alive").lower() != "close"
@@ -331,11 +328,14 @@ def _decode(body: bytes):
     return json.loads(body) if body else {}
 
 
-class _WorkerAnswer(NamedTuple):
-    """A worker's answer, written to the client as the worker wrote it."""
-
-    body: bytes
-    server_timing: Optional[str]
+#: The worker ``/stats`` counters the rollup sums into ``totals``: top
+#: level (key None) and under ``cache``.
+_TOTALS = {
+    None: ("computations", "coalesced_requests", "degraded_responses",
+           "inflight", "queue_depth"),
+    "cache": ("builds", "shm_hits", "shm_stores", "migrations",
+              "stale_served", "corrupt_entries"),
+}
 
 
 class _WorkerSlot:
@@ -385,7 +385,7 @@ class _WorkerSlot:
         }
 
 
-class Supervisor:
+class Supervisor(HTTPCore):
     """The asyncio front: routing, failover, heartbeat, rollup.
 
     Single-threaded on its event loop (slot state needs no locks);
@@ -400,8 +400,6 @@ class Supervisor:
     #: sentinel rather than a lock.  Sync helpers that mutate these run
     #: only as event-loop callees and say so in their docstrings.
     _GUARDED_BY = {
-        "requests": "event-loop",
-        "responses": "event-loop",
         "replays": "event-loop",
         "restarts": "event-loop",
         "crashes": "event-loop",
@@ -409,10 +407,8 @@ class Supervisor:
         "quarantined": "event-loop",
         "mutations_routed": "event-loop",
         "mutations_replayed": "event-loop",
-        "_active_requests": "event-loop",
         "_rr": "event-loop",
         "_restart_tasks": "event-loop",
-        "_conn_tasks": "event-loop",
         "_mutation_logs": "event-loop",
         "_mutation_locks": "event-loop",
         "_spawned": "self._spawn_lock",
@@ -438,8 +434,14 @@ class Supervisor:
     ) -> None:
         if not worker_configs:
             raise ValueError("at least one worker config is required")
-        self.host = host
-        self.port = port
+        # The front's own registry: its request counts are the cluster's.
+        metrics = obs_metrics.MetricsRegistry()
+        super().__init__(
+            host, port, drain_s=5.0, metrics=metrics,
+            trace_sink=None if trace_log is None else TraceSink(trace_log),
+            trace_worker={"role": "front"},
+        )
+        self.metrics = metrics
         self.run_id = run_id
         self.heartbeat_s = heartbeat_s
         self.probe_timeout_s = probe_timeout_s
@@ -456,22 +458,17 @@ class Supervisor:
         self._dataset_names = sorted(
             {name for slot in self.slots for name in slot.datasets}
         )
-        self._server: Optional[asyncio.AbstractServer] = None
         self._heartbeat_task: Optional[asyncio.Task] = None
         self._restart_tasks: set = set()
-        self._conn_tasks: set = set()
         #: Every worker process ever started, replacements included:
         #: teardown reaps all of them, not just the slots' current ones
         #: (a restart cancelled mid-spawn leaves its child unreferenced).
         self._spawned: List[WorkerProcess] = []
         self._spawn_lock = threading.Lock()
         self._stopping = threading.Event()
-        self._active_requests = 0
         self._rr = 0
         self.started_at = time.time()
         # Counters (event-loop-owned).
-        self.requests: Dict[str, int] = {}
-        self.responses: Dict[str, int] = {}
         self.replays = 0
         self.restarts = 0
         self.crashes = 0
@@ -487,23 +484,19 @@ class Supervisor:
         self._mutation_logs: Dict[str, List[dict]] = {}
         #: Per-dataset ordering: one mutation fan-out at a time.
         self._mutation_locks: Dict[str, asyncio.Lock] = {}
-        #: Front-side trace sink (workers write their own `.w<k>` logs).
-        self.trace_sink = None if trace_log is None else TraceSink(trace_log)
-        metrics = obs_metrics.registry()
-        self._m_requests = metrics.counter(
-            "repro_http_requests_total",
-            "HTTP requests received, by endpoint.",
-            ("endpoint",),
-        )
-        self._m_responses = metrics.counter(
-            "repro_http_responses_total",
-            "HTTP responses written, by status code.",
-            ("status",),
-        )
         self._m_replays = metrics.counter(
             "repro_request_replays_total",
             "Requests replayed onto another worker after a transport failure.",
         )
+        self._routes = {
+            "/healthz": ("GET", self._healthz),
+            "/stats": ("GET", self._rollup),
+            "/metrics": ("GET", self._metrics_text),
+            "/datasets": ("GET", lambda body: self._forward_get("/datasets")),
+            "/select": ("POST", lambda body: self._compute("/select", body)),
+            "/zoom": ("POST", lambda body: self._compute("/zoom", body)),
+            "/mutate": ("POST", self._mutate_fanout),
+        }
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -524,10 +517,7 @@ class Supervisor:
         for slot, process in zip(self.slots, results):
             slot.process = process
             slot.state = "healthy"
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await super().start()
         self._heartbeat_task = asyncio.ensure_future(self._heartbeat_loop())
 
     def _spawn_worker(self, slot: _WorkerSlot) -> WorkerProcess:
@@ -555,7 +545,7 @@ class Supervisor:
         with self._spawn_lock:
             return list(self._spawned)
 
-    async def stop(self, drain_s: float = 5.0) -> None:
+    async def stop(self, drain_s: Optional[float] = None) -> None:
         """Close the front, drain in-flight requests, stop every worker."""
         # Spawns still in flight abort their handshake and kill their
         # child; the reap below waits for them to settle.
@@ -568,18 +558,7 @@ class Supervisor:
             task.cancel()
         if self._restart_tasks:
             await asyncio.gather(*list(self._restart_tasks), return_exceptions=True)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if drain_s > 0 and self._active_requests > 0:
-            deadline = time.monotonic() + drain_s
-            while self._active_requests > 0 and time.monotonic() < deadline:
-                await asyncio.sleep(0.02)
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
+        await super().stop(drain_s)
         for slot in self.slots:
             self._close_pool(slot)
             slot.state = "stopped"
@@ -599,112 +578,19 @@ class Supervisor:
                     process.wait(timeout=5.0)
 
         await loop.run_in_executor(None, _reap)
-        if self.trace_sink is not None:
-            self.trace_sink.close()
 
     # ------------------------------------------------------------------
-    # Connection handling (mirrors DiscServer's loop)
+    # Front endpoints
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            while True:
-                parsed = await read_http_request(reader)
-                if parsed is None:
-                    break
-                method, path, keep_alive, body, headers = parsed
-                self._active_requests += 1
-                try:
-                    with obs_trace.request_scope(
-                        "request", header=headers.get("x-repro-trace")
-                    ) as root:
-                        status, payload = await self._route(method, path, body)
-                    timing = f"front;dur={root.elapsed_ms():.3f}"
-                    if isinstance(payload, _WorkerAnswer):
-                        if payload.server_timing:
-                            timing = f"{payload.server_timing}, {timing}"
-                        payload = payload.body
-                    key = str(status)
-                    self.responses[key] = self.responses.get(key, 0) + 1
-                    self._m_responses.inc(status=status)
-                    await write_http_response(
-                        writer,
-                        status,
-                        payload,
-                        keep_alive,
-                        extra_headers=[
-                            (
-                                obs_trace.TRACE_HEADER,
-                                obs_trace.format_trace_header(root),
-                            ),
-                            ("Server-Timing", timing),
-                        ],
-                    )
-                    self._emit_trace(root, status, method, path)
-                finally:
-                    self._active_requests -= 1
-                if not keep_alive:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.LimitOverrunError,
-        ):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-                pass
+    def _server_timing(self, root: obs_trace.Span) -> str:
+        return f"front;dur={root.elapsed_ms():.3f}"
 
-    async def _route(
-        self, method: str, path: str, body
-    ) -> Tuple[int, Union[dict, _WorkerAnswer]]:
-        if path == "\x00too-large":
-            return 413, error_body("payload_too_large", "request body too large")
-        if path == "\x00bad-length":
-            return 400, error_body("bad_request", "invalid Content-Length header")
-        if isinstance(body, dict) and body.get("\x00invalid-json"):
-            return 400, error_body("bad_request", "request body is not valid JSON")
-        endpoint = metric_endpoint(method, path)
-        self.requests[endpoint] = self.requests.get(endpoint, 0) + 1
-        self._m_requests.inc(endpoint=endpoint)
-        if method == "GET":
-            if path == "/healthz":
-                return 200, self._healthz()
-            if path == "/stats":
-                return 200, await self._rollup()
-            if path == "/metrics":
-                return 200, {"\x00text": await self._metrics_text()}
-            if path == "/datasets":
-                return await self._forward_get(path)
-            if path in ("/select", "/zoom", "/mutate"):
-                return 405, error_body("method_not_allowed", f"{path} requires POST")
-            return 404, error_body("not_found", f"unknown path {path!r}")
-        if method == "POST":
-            if path in ("/select", "/zoom"):
-                return await self._compute(path, body)
-            if path == "/mutate":
-                return await self._mutate_fanout(body)
-            if path in ("/healthz", "/stats", "/datasets", "/metrics"):
-                return 405, error_body("method_not_allowed", f"{path} requires GET")
-            return 404, error_body("not_found", f"unknown path {path!r}")
-        return 405, error_body("method_not_allowed", f"unsupported method {method}")
-
-    def _healthz(self) -> dict:
+    async def _healthz(self, body: dict) -> Tuple[int, dict]:
         states: Dict[str, int] = {}
         for slot in self.slots:
             states[slot.state] = states.get(slot.state, 0) + 1
         healthy = states.get("healthy", 0)
-        return {
+        return 200, {
             "status": "ok" if healthy else "starting",
             "role": "supervisor",
             "workers": states,
@@ -713,36 +599,18 @@ class Supervisor:
             "uptime_s": round(time.time() - self.started_at, 3),
         }
 
-    def _emit_trace(self, root, status: int, method: str, path: str) -> None:
-        """Write the front's record for one finished request (runs on
-        the event loop; the sink itself is thread-safe)."""
-        if self.trace_sink is None:
-            return
-        self.trace_sink.emit(
-            build_record(
-                root, status=status, method=method, path=path,
-                worker={"role": "front"},
-            )
-        )
-
-    async def _metrics_text(self) -> str:
-        """The cluster-wide Prometheus exposition: the front's own
-        registry merged with every healthy worker's snapshot (carried
-        inside each worker's ``/stats`` payload)."""
-        snaps = [obs_metrics.registry().snapshot()]
-        for slot in self.slots:
-            if slot.state != "healthy":
-                continue
-            try:
-                status, _headers, body = await self._proxy(slot, "GET", "/stats", b"")
-            except _TRANSPORT_ERRORS:
-                continue
-            payload = _decode(body) if status == 200 else None
-            if isinstance(payload, dict):
-                snap = payload.get("metrics")
-                if isinstance(snap, dict):
-                    snaps.append(snap)
-        return obs_metrics.render_snapshot(obs_metrics.merge_snapshots(snaps))
+    async def _metrics_text(self, body: dict) -> Tuple[int, str]:
+        """The front's registry merged with every healthy worker's, less
+        the workers' HTTP families: the front counted each client request
+        already, and the workers' copies hold its heartbeats too."""
+        snaps = [self.metrics.snapshot()]
+        for _slot, stats in await self._worker_stats():
+            snap = None if stats is None else stats.get("metrics")
+            if isinstance(snap, dict):
+                snaps.append(
+                    {k: v for k, v in snap.items() if k not in HTTP_FAMILIES}
+                )
+        return 200, obs_metrics.render_snapshot(obs_metrics.merge_snapshots(snaps))
 
     # ------------------------------------------------------------------
     # Routing + failover
@@ -782,10 +650,33 @@ class Supervisor:
                 return True
         return False
 
+    async def _await_replica(self, dataset: Optional[str], deadline: float) -> bool:
+        """True once ``dataset`` has a healthy replica; waits for one
+        that is (re)starting until ``deadline``, False without one."""
+        while not self._candidates(dataset):
+            if not self._replica_pending(dataset) or time.monotonic() >= deadline:
+                return False
+            await asyncio.sleep(0.05)
+        return True
+
+    async def _check_corpse(self, slot: _WorkerSlot) -> None:
+        """A worker socket died mid-request: if the process is a corpse,
+        restart it now, not a heartbeat later (concurrent requests would
+        keep re-picking the dead slot).  The socket can drop a few ms
+        before the child is reapable, hence the short grace window."""
+        generation = slot.generation
+        for _ in range(5):
+            if slot.state != "healthy" or slot.generation != generation:
+                return  # the heartbeat already handled the death
+            process = slot.process
+            if process is not None and process.poll() is not None:
+                self._on_crash(slot, "exit")
+                return
+            await asyncio.sleep(0.02)
+
     async def _compute(
-        self, path: str, body
-    ) -> Tuple[int, Union[dict, _WorkerAnswer]]:
-        body = dict(body or {})
+        self, path: str, body: dict
+    ) -> Tuple[int, Union[dict, Forwarded]]:
         dataset = body.get("dataset")
         if dataset is None and isinstance(body.get("request"), dict):
             dataset = body["request"].get("dataset")
@@ -798,15 +689,11 @@ class Supervisor:
             body["idempotency_key"] = uuid.uuid4().hex
         raw = _json_bytes(body)
         replays = 0
-        no_worker_deadline = time.monotonic() + NO_WORKER_WAIT_S
+        deadline = time.monotonic() + NO_WORKER_WAIT_S
         while True:
             slot = self._pick(dataset)
             if slot is None:
-                if (
-                    self._replica_pending(dataset)
-                    and time.monotonic() < no_worker_deadline
-                ):
-                    await asyncio.sleep(0.05)
+                if await self._await_replica(dataset, deadline):
                     continue
                 return 503, error_body(
                     "no_workers",
@@ -821,23 +708,7 @@ class Supervisor:
                         slot, "POST", path, raw
                     )
             except _TRANSPORT_ERRORS:
-                # The worker died (or its socket did) with our request
-                # in flight.  If the process is already a corpse, start
-                # its restart now instead of waiting a heartbeat —
-                # otherwise concurrent requests keep re-picking the dead
-                # slot and burn through their replay budget.  The socket
-                # can drop a few ms before the child is reapable, so
-                # give waitpid a short grace window before concluding
-                # the process is actually still alive.
-                generation = slot.generation
-                for _ in range(5):
-                    if slot.state != "healthy" or slot.generation != generation:
-                        break  # the heartbeat already handled the death
-                    process = slot.process
-                    if process is not None and process.poll() is not None:
-                        self._on_crash(slot, "exit")
-                        break
-                    await asyncio.sleep(0.02)
+                await self._check_corpse(slot)
                 self.replays += 1
                 self._m_replays.inc()
                 replays += 1
@@ -850,9 +721,9 @@ class Supervisor:
                 continue
             finally:
                 slot.inflight -= 1
-            return status, _WorkerAnswer(answer, headers.get("server-timing"))
+            return status, Forwarded(answer, headers.get("server-timing"))
 
-    async def _mutate_fanout(self, body) -> Tuple[int, dict]:
+    async def _mutate_fanout(self, body: dict) -> Tuple[int, dict]:
         """Apply one mutation batch to *every* healthy replica.
 
         Reads route to any one replica, so a write must reach them all
@@ -864,7 +735,6 @@ class Supervisor:
         batch is durable once >= 1 replica applied it; zero successes
         → 503 and the batch is *not* logged (the client retries).
         """
-        body = dict(body or {})
         dataset = body.get("dataset")
         if not isinstance(dataset, str):
             return 400, error_body(
@@ -875,17 +745,13 @@ class Supervisor:
         # Wait for a replica BEFORE taking the dataset lock: a
         # restarting replica's log replay needs that lock, so waiting
         # while holding it would deadlock the very recovery we wait on.
-        deadline = time.monotonic() + NO_WORKER_WAIT_S
-        while not self._candidates(dataset):
-            if (
-                not self._replica_pending(dataset)
-                or time.monotonic() >= deadline
-            ):
-                return 503, error_body(
-                    "no_workers",
-                    f"no healthy worker for dataset {dataset!r}; retry shortly",
-                )
-            await asyncio.sleep(0.05)
+        if not await self._await_replica(
+            dataset, time.monotonic() + NO_WORKER_WAIT_S
+        ):
+            return 503, error_body(
+                "no_workers",
+                f"no healthy worker for dataset {dataset!r}; retry shortly",
+            )
         lock = self._mutation_locks.setdefault(dataset, asyncio.Lock())
         async with lock:
             raw = _json_bytes(body)
@@ -900,18 +766,9 @@ class Supervisor:
                         slot, "POST", "/mutate", raw
                     )
                 except _TRANSPORT_ERRORS:
-                    # Same corpse detection as _compute — but no
-                    # failover replay: the restart's log replay is the
-                    # delivery path for this replica.
-                    generation = slot.generation
-                    for _ in range(5):
-                        if slot.state != "healthy" or slot.generation != generation:
-                            break
-                        process = slot.process
-                        if process is not None and process.poll() is not None:
-                            self._on_crash(slot, "exit")
-                            break
-                        await asyncio.sleep(0.02)
+                    # No failover replay: the restart's log replay is
+                    # the delivery path for this replica.
+                    await self._check_corpse(slot)
                     continue
                 finally:
                     slot.inflight -= 1
@@ -942,7 +799,7 @@ class Supervisor:
 
     async def _forward_get(
         self, path: str
-    ) -> Tuple[int, Union[dict, _WorkerAnswer]]:
+    ) -> Tuple[int, Union[dict, Forwarded]]:
         slot = self._pick(None)
         if slot is None:
             return 503, error_body("no_workers", "no healthy worker")
@@ -950,7 +807,7 @@ class Supervisor:
             status, headers, answer = await self._proxy(slot, "GET", path, b"")
         except _TRANSPORT_ERRORS:
             return 503, error_body("no_workers", "worker connection lost")
-        return status, _WorkerAnswer(answer, headers.get("server-timing"))
+        return status, Forwarded(answer, headers.get("server-timing"))
 
     # ------------------------------------------------------------------
     # Worker connections
@@ -1170,60 +1027,43 @@ class Supervisor:
     # ------------------------------------------------------------------
     # Stats rollup
     # ------------------------------------------------------------------
-    async def _rollup(self) -> dict:
-        workers = []
-        totals = {
-            "computations": 0,
-            "coalesced_requests": 0,
-            "degraded_responses": 0,
-            "builds": 0,
-            "shm_hits": 0,
-            "shm_stores": 0,
-            "migrations": 0,
-            "stale_served": 0,
-            "corrupt_entries": 0,
-            "inflight": 0,
-            "queue_depth": 0,
-        }
+    async def _worker_stats(self) -> List[Tuple[_WorkerSlot, Optional[dict]]]:
+        """Every slot with its worker's ``/stats`` payload (None when the
+        worker is not healthy or did not answer)."""
+        out = []
         for slot in self.slots:
-            entry = slot.describe()
-            entry["stats"] = None
+            payload = None
             if slot.state == "healthy":
                 try:
                     status, _headers, body = await self._proxy(
                         slot, "GET", "/stats", b""
                     )
                 except _TRANSPORT_ERRORS:
-                    status, body = None, b""
-                payload = _decode(body) if status == 200 else None
-                if isinstance(payload, dict):
-                    entry["stats"] = payload
-                    totals["computations"] += payload.get("computations", 0) or 0
-                    totals["coalesced_requests"] += (
-                        payload.get("coalesced_requests", 0) or 0
-                    )
-                    totals["degraded_responses"] += (
-                        payload.get("degraded_responses", 0) or 0
-                    )
-                    totals["inflight"] += payload.get("inflight", 0) or 0
-                    totals["queue_depth"] += payload.get("queue_depth", 0) or 0
-                    cache = payload.get("cache") or {}
-                    totals["builds"] += cache.get("builds", 0) or 0
-                    totals["shm_hits"] += cache.get("shm_hits", 0) or 0
-                    totals["shm_stores"] += cache.get("shm_stores", 0) or 0
-                    totals["migrations"] += cache.get("migrations", 0) or 0
-                    totals["stale_served"] += cache.get("stale_served", 0) or 0
-                    totals["corrupt_entries"] += (
-                        cache.get("corrupt_entries", 0) or 0
-                    )
+                    status = None
+                if status == 200:
+                    payload = _decode(body)
+            out.append((slot, payload if isinstance(payload, dict) else None))
+        return out
+
+    async def _rollup(self, body: dict) -> Tuple[int, dict]:
+        workers = []
+        totals = dict.fromkeys(_TOTALS[None] + _TOTALS["cache"], 0)
+        for slot, stats in await self._worker_stats():
+            entry = slot.describe()
+            entry["stats"] = stats
             workers.append(entry)
+            if stats is None:
+                continue
+            for section, keys in _TOTALS.items():
+                source = (stats if section is None else stats.get(section)) or {}
+                for key in keys:
+                    totals[key] += source.get(key, 0) or 0
         totals["inflight_front"] = sum(slot.inflight for slot in self.slots)
-        return {
+        return 200, {
             "role": "supervisor",
             "uptime_s": round(time.time() - self.started_at, 3),
             "run_id": self.run_id,
-            "requests": dict(self.requests),
-            "responses": dict(self.responses),
+            **self.http_counters(),
             "supervisor": {
                 "replays": self.replays,
                 "restarts": self.restarts,
@@ -1247,7 +1087,7 @@ class Supervisor:
 # ----------------------------------------------------------------------
 # Sync facade
 # ----------------------------------------------------------------------
-class SupervisorCluster:
+class SupervisorCluster(LoopThread):
     """A supervised cluster running on a background event-loop thread.
 
     The synchronous handle the CLI, tests, and the load harness drive:
@@ -1258,23 +1098,18 @@ class SupervisorCluster:
     to the run, not to any worker).
     """
 
-    def __init__(self, supervisor: Supervisor, loop, thread, store) -> None:
+    def __init__(self, supervisor: Supervisor, store) -> None:
         self.supervisor = supervisor
-        self._loop = loop
-        self._thread = thread
         self.store = store
-
-    @property
-    def host(self) -> str:
-        return self.supervisor.host
-
-    @property
-    def port(self) -> int:
-        return self.supervisor.port
-
-    @property
-    def address(self) -> str:
-        return f"http://{self.host}:{self.port}"
+        try:
+            super().__init__(
+                supervisor, "disc-supervisor-loop",
+                timeout_s=supervisor.worker_start_timeout_s + 30,
+            )
+        except BaseException:
+            if store is not None:
+                store.close(sweep=True)
+            raise
 
     @property
     def run_id(self) -> Optional[str]:
@@ -1304,26 +1139,13 @@ class SupervisorCluster:
         chaos tests assert :func:`repro.service.shm.sweep_orphans`
         (and a direct listing) find nothing afterwards.
         """
-        if self._thread is None:
+        if not self._stop_loop(drain_s, timeout_s=120):
             return []
-        asyncio.run_coroutine_threadsafe(
-            self.supervisor.stop(drain_s), self._loop
-        ).result(timeout=120)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=30)
-        self._loop.close()
-        self._thread = None
         removed: List[str] = []
         if self.store is not None:
             removed = self.store.close(sweep=True)
             self.store = None
         return removed
-
-    def __enter__(self) -> "SupervisorCluster":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 def build_worker_configs(
@@ -1474,28 +1296,4 @@ def start_supervised(
         max_replays=max_replays,
         worker_start_timeout_s=worker_start_timeout_s,
     )
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    start_error: List[BaseException] = []
-
-    def _run() -> None:
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(supervisor.start())
-        except BaseException as exc:  # startup failed; surface it
-            start_error.append(exc)
-            started.set()
-            return
-        started.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=_run, name="disc-supervisor-loop", daemon=True)
-    thread.start()
-    if not started.wait(timeout=worker_start_timeout_s + 30):
-        raise RuntimeError("supervisor event loop failed to start")
-    if start_error:
-        loop.close()
-        if store is not None:
-            store.close(sweep=True)
-        raise start_error[0]
-    return SupervisorCluster(supervisor, loop, thread, store)
+    return SupervisorCluster(supervisor, store)

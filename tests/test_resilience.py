@@ -771,8 +771,11 @@ class TestChaosSuite:
             retry=RetryPolicy(retries=0),
         )
         _assert_chaos_invariants(outcome)
-        assert outcome["timeouts"] >= 1
-        assert outcome["status_counts"].get("408", 0) >= 1
+        # /stats counts this replay's server only, not every server the
+        # process has run.
+        counts = outcome["status_counts"]
+        assert outcome["timeouts"] == counts.get("408", 0) + counts.get("504", 0)
+        assert counts.get("408", 0) >= 1
         # Cooperative cancellation bounds the wait: every 408/504 arrived
         # within the budget plus one checkpoint interval.
         assert outcome["max_error_latency_ms"] <= 150.0 + DEADLINE_SLACK_MS

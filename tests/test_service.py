@@ -41,6 +41,7 @@ from repro.service import (
     start_in_thread,
     wait_until_healthy,
 )
+from repro.service.server import MAX_BODY_BYTES
 
 N = 1200
 SEED = 7
@@ -237,6 +238,19 @@ def client(service):
         yield c
 
 
+@pytest.fixture(scope="module", params=["single", "front"])
+def http_server(request, service):
+    """Both servers behind the one error contract: the single process
+    above, and a supervised front over a stub worker (no subprocess)."""
+    if request.param == "single":
+        yield service
+        return
+    from test_supervisor import stub_front
+
+    with stub_front() as front:
+        yield front
+
+
 class TestServerEndpoints:
     def test_healthz(self, client):
         health = client.healthz()
@@ -302,7 +316,19 @@ class TestServerEndpoints:
         assert status == 200
         assert nested["result"]["selected"] == flat["result"]["selected"]
 
-    def test_error_mapping(self, client):
+    def test_error_mapping(self, http_server):
+        with ServiceClient(http_server.host, http_server.port) as client:
+            for method, path, status, code in [
+                ("GET", "/nope", 404, "not_found"),
+                ("POST", "/nope", 404, "not_found"),
+                ("GET", "/select", 405, "method_not_allowed"),
+                ("POST", "/stats", 405, "method_not_allowed"),
+                ("FROB", "/select", 405, "method_not_allowed"),
+            ]:
+                got, payload = client.request(method, path)
+                assert (got, payload["error"]["code"]) == (status, code), path
+
+    def test_validation_error_mapping(self, client):
         assert client.request("POST", "/select", {"dataset": "missing", "radius": 0.1})[0] == 404
         assert client.request("POST", "/select", {"dataset": "uniform"})[0] == 400
         assert client.request(
@@ -316,41 +342,57 @@ class TestServerEndpoints:
         assert client.request(
             "POST", "/zoom", {"dataset": "uniform", "radius": 0.1, "to": 0.1}
         )[0] == 400
-        assert client.request("GET", "/nope")[0] == 404
-        assert client.request("GET", "/select")[0] == 405
-        assert client.request("POST", "/stats")[0] == 405
         with pytest.raises(ServiceError) as excinfo:
             client.select("missing", 0.1)
         assert excinfo.value.status == 404
 
-    def test_invalid_json_body_is_400(self, service):
-        conn = http.client.HTTPConnection(service.host, service.port, timeout=30)
+    @pytest.mark.parametrize(
+        "body, not_json",
+        [
+            (b"{not json", True),
+            # Valid JSON: no key of a body can mark it as invalid JSON.
+            (b'{"\\u0000invalid-json": true}', False),
+        ],
+    )
+    def test_invalid_json_body_is_400(self, http_server, body, not_json):
+        conn = http.client.HTTPConnection(http_server.host, http_server.port, timeout=30)
         try:
             conn.request(
                 "POST",
                 "/select",
-                body=b"{not json",
+                body=body,
                 headers={"Content-Type": "application/json"},
             )
             response = conn.getresponse()
             payload = json.loads(response.read())
             assert response.status == 400
             assert payload["error"]["code"] == "bad_request"
-            assert "JSON" in payload["error"]["message"]
+            assert ("not valid JSON" in payload["error"]["message"]) == not_json
         finally:
             conn.close()
 
-    def test_malformed_content_length_is_400(self, service):
-        conn = http.client.HTTPConnection(service.host, service.port, timeout=30)
+    @pytest.mark.parametrize(
+        "length, status, code, words",
+        [
+            ("abc", 400, "bad_request", "Content-Length"),
+            (str(MAX_BODY_BYTES + 1), 413, "payload_too_large", "too large"),
+        ],
+    )
+    def test_malformed_content_length_is_400(
+        self, http_server, length, status, code, words
+    ):
+        conn = http.client.HTTPConnection(http_server.host, http_server.port, timeout=30)
         try:
             conn.putrequest("POST", "/select", skip_accept_encoding=True)
-            conn.putheader("Content-Length", "abc")
+            conn.putheader("Content-Length", length)
             conn.endheaders()
             response = conn.getresponse()
             payload = json.loads(response.read())
-            assert response.status == 400
-            assert payload["error"]["code"] == "bad_request"
-            assert "Content-Length" in payload["error"]["message"]
+            assert response.status == status
+            assert payload["error"]["code"] == code
+            assert words in payload["error"]["message"]
+            # The body framing is lost: the server closes the connection.
+            assert response.getheader("Connection") == "close"
         finally:
             conn.close()
 

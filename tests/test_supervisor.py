@@ -16,6 +16,7 @@ Three layers, cheapest first:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import http.client
 import json
 import os
@@ -410,6 +411,49 @@ class TestSupervisedCluster:
         assert totals["builds"] == len(set(trace.radii)) == 3, totals
         assert totals["shm_hits"] >= 1
 
+    def test_cluster_metrics_count_each_client_request_once(self):
+        """Front and workers both see every proxied request, and the
+        workers also see the front's heartbeats and rollups: the cluster
+        exposition must still count each client request exactly once,
+        and the front's ``/stats`` reads the same counts."""
+        cluster = start_supervised(["uniform"], 2, n=300, threads=2)
+        try:
+            with ServiceClient(cluster.host, cluster.port) as client:
+                for _ in range(5):
+                    client.select("uniform", 0.1, engine=ENGINE)
+                client.stats()
+                # Let heartbeat probes land in the workers' own counters.
+                time.sleep(3 * cluster.supervisor.heartbeat_s)
+                conn = http.client.HTTPConnection(cluster.host, cluster.port, timeout=60)
+                try:
+                    conn.request("GET", "/metrics")
+                    text = conn.getresponse().read().decode("utf-8")
+                finally:
+                    conn.close()
+                stats = client.stats()
+        finally:
+            cluster.stop()
+        samples = {}
+        for line in text.splitlines():
+            ident, _, value = line.rpartition(" ")
+            if ident.startswith(("repro_http_", "repro_request_duration_seconds_count")):
+                samples[ident] = float(value)
+        assert samples == {
+            'repro_http_requests_total{endpoint="GET /metrics"}': 1,
+            'repro_http_requests_total{endpoint="GET /stats"}': 1,
+            'repro_http_requests_total{endpoint="POST /select"}': 5,
+            'repro_http_responses_total{status="200"}': 6,
+            'repro_request_duration_seconds_count{path="/select"}': 5,
+            'repro_request_duration_seconds_count{path="/stats"}': 1,
+        }
+        # Worker-side families still merge in (the selections ran there).
+        assert "repro_computations_total 5" in text.splitlines()
+        assert stats["requests"] == {
+            "POST /select": 5, "GET /stats": 2, "GET /metrics": 1,
+        }
+        assert stats["responses"] == {"200": 7}
+        assert stats["timeouts"] == 0
+
     def test_crash_mid_request_is_replayed(self):
         """Deterministic worker_crash on one worker: the client sees
         200s only; the supervisor logs the replay and restarts the
@@ -526,6 +570,8 @@ STUB_ANSWERS = {
     ("/zoom", "down"): (503, b'{"error":{"code" : "overloaded","message":"busy"} }\n'),
 }
 STUB_TIMING = "total;dur=2.500, build;dur=0.000, select;dur=1.250"
+#: What the stub answers to any other request.
+STUB_UNKNOWN = (400, b'{"error": {"code": "bad_request", "message": "stub"}}')
 
 
 class _StubWorker:
@@ -552,7 +598,8 @@ class _StubWorker:
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", "0"))
                 request = json.loads(self.rfile.read(length))
-                self._answer(*STUB_ANSWERS[(self.path, request["dataset"])])
+                key = (self.path, request.get("dataset"))
+                self._answer(*STUB_ANSWERS.get(key, STUB_UNKNOWN))
 
             def log_message(self, *args):
                 pass
@@ -581,6 +628,18 @@ class _StubWorker:
         return 0
 
 
+@contextlib.contextmanager
+def stub_front():
+    """A supervised front over one :class:`_StubWorker` (no subprocess)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Supervisor, "_spawn_worker", lambda self, slot: _StubWorker())
+        cluster = start_supervised(["stub"], 1, use_shm=False)
+    try:
+        yield cluster
+    finally:
+        cluster.stop()
+
+
 def _raw_post(host, port, path, payload):
     conn = http.client.HTTPConnection(host, port, timeout=60)
     try:
@@ -595,12 +654,8 @@ def _raw_post(host, port, path, payload):
 
 
 class TestFrontPassThrough:
-    def test_worker_bytes_and_status_reach_the_client_unchanged(self, monkeypatch):
-        monkeypatch.setattr(
-            Supervisor, "_spawn_worker", lambda self, slot: _StubWorker()
-        )
-        cluster = start_supervised(["stub"], 1, use_shm=False)
-        try:
+    def test_worker_bytes_and_status_reach_the_client_unchanged(self):
+        with stub_front() as cluster:
             for (path, dataset), (status, body) in STUB_ANSWERS.items():
                 got_status, headers, got_body = _raw_post(
                     cluster.host, cluster.port, path, {"dataset": dataset}
@@ -610,8 +665,25 @@ class TestFrontPassThrough:
                 assert "X-Repro-Trace" in headers
                 timing = headers["Server-Timing"]
                 assert timing.startswith(STUB_TIMING + ", front;dur=")
-        finally:
-            cluster.stop()
+
+    def test_non_object_body_is_400_on_a_kept_connection(self):
+        """The front answers a JSON body that is not an object as the
+        single process does — 400 ``bad_request`` — and the keep-alive
+        connection stays usable."""
+        with stub_front() as cluster:
+            conn = http.client.HTTPConnection(cluster.host, cluster.port, timeout=60)
+            try:
+                for path in ("/select", "/mutate"):
+                    for payload in ([1, 2], "abc", 5):
+                        conn.request("POST", path, body=json.dumps(payload))
+                        response = conn.getresponse()
+                        answer = json.loads(response.read())
+                        assert response.status == 400, (path, payload)
+                        assert answer["error"]["code"] == "bad_request"
+                conn.request("GET", "/healthz")
+                assert conn.getresponse().status == 200
+            finally:
+                conn.close()
 
     def test_real_cluster_forwards_bytes_and_server_timing(self, monkeypatch):
         """A supervised ``/zoom`` body is byte for byte what the worker
