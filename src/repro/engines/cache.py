@@ -21,9 +21,10 @@ byte budget still serves its own request.
 
 All mutating operations (and the counter reads of :meth:`info`) take an
 internal re-entrant lock, so a cache may be shared by concurrent
-sessions: the serving layer (:mod:`repro.service`) runs selections on a
-thread pool and its ``/stats`` endpoint snapshots counters while
-requests are in flight.
+sessions.  The hit/miss/eviction counters are plain ints: this cache
+belongs to a session, and no server renders it.  The serving layer's
+shared cache (:mod:`repro.service.cache`) keeps its counters in its
+server's metrics registry instead, behind ``/stats`` and ``/metrics``.
 
 Locking convention (enforced by ``repro lint``, rule
 ``guarded-attribute``): every class sharing mutable state across
@@ -40,8 +41,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from typing import Optional
-
-from repro.obs import metrics as obs_metrics
 
 __all__ = ["AdjacencyCache"]
 
@@ -86,11 +85,6 @@ class AdjacencyCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._m_lookups = obs_metrics.registry().counter(
-            "repro_session_cache_lookups_total",
-            "Per-session adjacency cache lookups by outcome.",
-            ("outcome",),
-        )
 
     # ------------------------------------------------------------------
     def get(self, key: float):
@@ -104,7 +98,6 @@ class AdjacencyCache:
             else:
                 self._entries.move_to_end(key)
                 self.hits += 1
-        self._m_lookups.inc(outcome="miss" if value is None else "hit")
         return value
 
     def peek(self, key: float):

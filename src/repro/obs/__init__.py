@@ -13,8 +13,8 @@ workload-adaptive policy item needs:
   and the replica that answered.  Handlers open a request scope;
   phases (validate / cache-lookup / adjacency-build / selection /
   repair / shm-attach) nest under it.
-* :mod:`repro.obs.metrics` — a thread-safe registry of counters,
-  gauges and fixed-bucket histograms rendered as Prometheus text
+* :mod:`repro.obs.metrics` — a thread-safe registry (one per server)
+  of counters, gauges and histograms rendered as Prometheus text
   (``GET /metrics``) and folded into ``/stats`` (the supervisor
   aggregates per-worker snapshots).  Metric names must match
   ``repro_[a-z0-9_]+`` — enforced at registration *and* by the
@@ -35,7 +35,6 @@ from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
     merge_snapshots,
-    registry,
     render_snapshot,
 )
 from repro.obs.sink import (
@@ -83,7 +82,6 @@ __all__ = [
     "phase",
     "phase_totals",
     "record_phase",
-    "registry",
     "render_snapshot",
     "render_trace_summary",
     "request_scope",

@@ -17,9 +17,12 @@ Export paths:
   aggregates per-worker snapshots (counters/gauges sum, histograms
   sum bucket-wise) and renders the cluster view at the front.
 
-A process-wide default registry (:func:`registry`) keeps the
-instrumentation seams plumbing-free; components accept an explicit
-registry for isolated tests.  Stdlib-only, and must never import
+There is no process-wide default: each server owns one registry and
+everything it serves counts into that one (a ``SharedCacheManager``
+creates it, and its ``ServiceState``, HTTP core and circuit breakers
+share it; the supervised front has its own).  So ``/metrics`` and
+``/stats`` read the same instruments, and two servers in one process
+never mix their counts.  Stdlib-only, and must never import
 :mod:`repro.service`.
 """
 
@@ -38,7 +41,6 @@ __all__ = [
     "METRIC_NAME_RE",
     "MetricsRegistry",
     "merge_snapshots",
-    "registry",
     "render_snapshot",
 ]
 
@@ -109,6 +111,11 @@ class Counter(_Metric):
         key = _label_key(self.labelnames, labels)
         with self._lock:
             return float(self._samples.get(key, 0.0))
+
+    def total(self) -> float:
+        """The sum over every label set."""
+        with self._lock:
+            return float(sum(self._samples.values()))
 
     def by_label(self) -> Dict[str, float]:
         """Every sample of a one-label counter, keyed by its label value."""
@@ -263,8 +270,7 @@ class MetricsRegistry:
         return render_snapshot(self.snapshot())
 
     def reset(self) -> None:
-        """Drop every instrument (test isolation for the default
-        registry; production code never calls this)."""
+        """Drop every instrument (production code never calls this)."""
         with self._lock:
             self._metrics.clear()
 
@@ -390,11 +396,3 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             "samples": samples,
         }
     return out
-
-
-_DEFAULT = MetricsRegistry()
-
-
-def registry() -> MetricsRegistry:
-    """The process-wide default registry."""
-    return _DEFAULT

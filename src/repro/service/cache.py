@@ -79,6 +79,7 @@ __all__ = [
     "LazyMigration",
     "SharedCacheManager",
     "SharedCacheView",
+    "phase_histogram",
     "radius_bucket",
 ]
 
@@ -103,6 +104,42 @@ def radius_bucket(radius: float) -> float:
 
 def _entry_bytes(value) -> int:
     return int(getattr(value, "nbytes", 0))
+
+
+#: The manager's counters by :meth:`SharedCacheManager.cache_info` key,
+#: with the registry family that is each one's only store (lookups are
+#: the labelled ``repro_cache_lookups_total`` beside these).
+_COUNTERS = {
+    "builds": ("repro_adjacency_builds_total",
+               "Adjacency builds completed by cache-owning threads."),
+    "coalesced_builds": ("repro_cache_coalesced_builds_total",
+                         "Lookups answered by waiting on a concurrent build."),
+    "build_failures": ("repro_adjacency_build_failures_total",
+                       "Claimed adjacency builds that raised."),
+    "evictions": ("repro_cache_evictions_total",
+                  "Entries evicted over budget from the fresh or stale tier."),
+    "expirations": ("repro_cache_expirations_total",
+                    "Entries demoted to the stale tier by their TTL."),
+    "corrupt_entries": ("repro_cache_corrupt_entries_total",
+                        "Entries dropped after failing the integrity check."),
+    "shm_hits": ("repro_shm_attaches_total",
+                 "Adjacencies attached from the cross-process shm tier."),
+    "shm_stores": ("repro_shm_stores_total",
+                   "Built adjacencies published to the cross-process shm tier."),
+    "migrations": ("repro_cache_migrations_total",
+                   "Cache buckets carried across live-dataset versions."),
+}
+
+
+def phase_histogram(metrics: obs_metrics.MetricsRegistry) -> obs_metrics.Histogram:
+    """The one registration of ``repro_phase_duration_seconds``: the
+    cache observes adjacency builds into it, the service state
+    selections and repairs."""
+    return metrics.histogram(
+        "repro_phase_duration_seconds",
+        "Measured duration of one request phase, by phase.",
+        ("phase",),
+    )
 
 
 class LazyMigration:
@@ -187,6 +224,11 @@ class SharedCacheManager:
         build) or claims the cluster-wide build slot; ``put`` then
         publishes the built value for other workers.  This is what
         keeps ``builds == unique radii`` across a supervised cluster.
+
+    ``metrics`` is the :class:`~repro.obs.metrics.MetricsRegistry` of
+    the server this cache serves.  Every counter of :meth:`cache_info`
+    lives there and only there, so ``/stats`` and ``/metrics`` read the
+    same instruments.
     """
 
     #: Lock discipline, mechanically enforced by `repro lint` (rule
@@ -198,18 +240,6 @@ class SharedCacheManager:
         "_breakers": "self._lock",
         "_build_seconds": "self._lock",
         "_backing_claims": "self._lock",
-        "hits": "self._lock",
-        "misses": "self._lock",
-        "evictions": "self._lock",
-        "expirations": "self._lock",
-        "builds": "self._lock",
-        "coalesced_builds": "self._lock",
-        "build_failures": "self._lock",
-        "stale_served": "self._lock",
-        "corrupt_entries": "self._lock",
-        "shm_hits": "self._lock",
-        "shm_stores": "self._lock",
-        "migrations": "self._lock",
     }
 
     def __init__(
@@ -245,46 +275,18 @@ class SharedCacheManager:
         self._breakers: Dict[CacheKey, CircuitBreaker] = {}
         self._build_seconds: Dict[CacheKey, float] = {}
         self._backing_claims: Dict[CacheKey, object] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.expirations = 0
-        self.builds = 0
-        self.coalesced_builds = 0
-        self.build_failures = 0
-        self.stale_served = 0
-        self.corrupt_entries = 0
-        self.shm_hits = 0
-        self.shm_stores = 0
-        self.migrations = 0
-        # Prometheus-side mirrors of the counters above.  The metrics
-        # lock is a leaf (nothing is acquired while it is held), so
-        # bumping these under self._lock cannot create a lock-order
-        # cycle; registration is get-or-create, so every manager in the
-        # process shares one family.
-        metrics = obs_metrics.registry()
-        self._m_lookups = metrics.counter(
+        # Counters live in the registry only (the metrics lock is a
+        # leaf, so bumping them under self._lock cannot form a cycle).
+        # A stale serve counts as outcome="stale", and cache_info()'s
+        # ``hits`` is hit + stale.
+        self.metrics = obs_metrics.MetricsRegistry()
+        self._m_lookups = self.metrics.counter(
             "repro_cache_lookups_total",
-            "Shared adjacency cache lookups by outcome.",
+            "Shared adjacency cache lookups by outcome (hit, miss, stale).",
             ("outcome",),
         )
-        self._m_builds = metrics.counter(
-            "repro_adjacency_builds_total",
-            "Adjacency builds completed by cache-owning threads.",
-        )
-        self._m_shm_attaches = metrics.counter(
-            "repro_shm_attaches_total",
-            "Adjacencies attached from the cross-process shm tier.",
-        )
-        self._m_migrations = metrics.counter(
-            "repro_cache_migrations_total",
-            "Cache buckets carried across live-dataset versions.",
-        )
-        self._m_phase = metrics.histogram(
-            "repro_phase_duration_seconds",
-            "Measured duration of one traced request phase.",
-            ("phase",),
-        )
+        self._m = {key: self.metrics.counter(*spec) for key, spec in _COUNTERS.items()}
+        self._m_phase = phase_histogram(self.metrics)
 
     # ------------------------------------------------------------------
     def view(self, dataset_id: str, metric) -> "SharedCacheView":
@@ -307,11 +309,11 @@ class SharedCacheManager:
             return None
         if not entry.intact():
             del self._entries[key]
-            self.corrupt_entries += 1
+            self._m["corrupt_entries"].inc()
             return None
         if entry.expired(time.monotonic()):
             del self._entries[key]
-            self.expirations += 1
+            self._m["expirations"].inc()
             self._stale[key] = entry
             self._stale.move_to_end(key)
             self._evict_stale()
@@ -327,15 +329,13 @@ class SharedCacheManager:
             return None
         if not entry.intact():
             del self._stale[key]
-            self.corrupt_entries += 1
+            self._m["corrupt_entries"].inc()
             return None
         self._stale.move_to_end(key)
         return entry.value
 
     def _serve_stale(self, key: CacheKey, value, reason: str):
         """Account a degraded stale hit.  Caller holds ``self._lock``."""
-        self.stale_served += 1
-        self.hits += 1
         self._m_lookups.inc(outcome="stale")
         token = current_token()
         if token is not None:
@@ -347,7 +347,9 @@ class SharedCacheManager:
         holds ``self._lock``."""
         breaker = self._breakers.get(key)
         if breaker is None:
-            breaker = CircuitBreaker(self.failure_threshold, self.breaker_reset_s)
+            breaker = CircuitBreaker(
+                self.metrics, self.failure_threshold, self.breaker_reset_s
+            )
             self._breakers[key] = breaker
         return breaker
 
@@ -355,7 +357,6 @@ class SharedCacheManager:
         """Claim the build slot for this thread.  Caller holds
         ``self._lock``."""
         self._pending[key] = _PendingBuild(threading.get_ident())
-        self.misses += 1
         self._m_lookups.inc(outcome="miss")
 
     def _rebuild_too_tight(self, key: CacheKey) -> bool:
@@ -417,14 +418,12 @@ class SharedCacheManager:
             with self._lock:
                 value = self._fresh_value(key)
                 if value is not None:
-                    self.hits += 1
                     self._m_lookups.inc(outcome="hit")
                     return value
                 pending = self._pending.get(key)
                 if pending is not None and pending.owner == threading.get_ident():
                     # Re-entrant miss (builder probing again): keep
                     # ownership, let it proceed with its build.
-                    self.misses += 1
                     self._m_lookups.inc(outcome="miss")
                     return None
                 if pending is None:
@@ -483,9 +482,8 @@ class SharedCacheManager:
             with self._lock:
                 value = self._fresh_value(key)
                 if value is not None:
-                    self.hits += 1
-                    self.coalesced_builds += 1
                     self._m_lookups.inc(outcome="hit")
+                    self._m["coalesced_builds"].inc()
                     return value
                 if key not in self._pending:
                     self._claim(key)
@@ -497,11 +495,7 @@ class SharedCacheManager:
         no waiting happens, so callers must not follow with ``put``."""
         with self._lock:
             value = self._fresh_value(key)
-            if value is not None:
-                self.hits += 1
-            else:
-                self.misses += 1
-        self._m_lookups.inc(outcome="hit" if value is not None else "miss")
+        self._m_lookups.inc(outcome="miss" if value is None else "hit")
         if value is None:
             return None
         return self._materialise(key, value)
@@ -525,9 +519,7 @@ class SharedCacheManager:
             return None
         if status == "value":
             self._install(key, got, count_build=False)
-            with self._lock:
-                self.shm_hits += 1
-            self._m_shm_attaches.inc()
+            self._m["shm_hits"].inc()
             return got
         if status == "claim":
             with self._lock:
@@ -549,7 +541,7 @@ class SharedCacheManager:
             self._entries.move_to_end(key)
             self._stale.pop(key, None)  # fresh build supersedes stale
             if count_build:
-                self.builds += 1
+                self._m["builds"].inc()
             pending = self._pending.pop(key, None)
             if pending is not None:
                 self._build_seconds[key] = max(
@@ -561,9 +553,7 @@ class SharedCacheManager:
             self._evict()
         if pending is not None:
             pending.event.set()
-        if count_build:
-            self._m_builds.inc()
-            if pending is not None:
+            if count_build:
                 # The build ran inside the engine, below any span seam;
                 # reconstruct it retroactively from the claim timestamp
                 # so traces still show where a slow request's time went.
@@ -581,8 +571,7 @@ class SharedCacheManager:
         if claim is not None and self.backing is not None:
             try:
                 if self.backing.publish(claim, value):
-                    with self._lock:
-                        self.shm_stores += 1
+                    self._m["shm_stores"].inc()
             except OperationCancelled:
                 # The deadline expired mid-publish: release the
                 # cluster-wide claim so a healthy worker takes over the
@@ -636,7 +625,7 @@ class SharedCacheManager:
         self._release_backing(key)
         with self._lock:
             pending = self._pending.pop(key, None)
-            self.build_failures += 1
+            self._m["build_failures"].inc()
             self._breaker(key).record_failure()
         if pending is not None:
             pending.error = exc  # must precede the wake-up
@@ -690,9 +679,8 @@ class SharedCacheManager:
                 self._entries[new_key] = _Entry(value, expires)
                 self._entries.move_to_end(new_key)
                 self._stale.pop(new_key, None)
-                self.migrations += 1
+                self._m["migrations"].inc()
                 self._evict()
-            self._m_migrations.inc()
             migrated += 1
         with self._lock:
             for key in old_keys:
@@ -720,7 +708,7 @@ class SharedCacheManager:
                 or (self.max_bytes is not None and self.total_bytes > self.max_bytes)
             ):
                 self._entries.popitem(last=False)
-                self.evictions += 1
+                self._m["evictions"].inc()
 
     def _evict_stale(self) -> None:
         """Trim the stale tier to budget.  Caller holds ``self._lock``."""
@@ -728,7 +716,7 @@ class SharedCacheManager:
             return
         while len(self._stale) > self.max_entries:
             self._stale.popitem(last=False)
-            self.evictions += 1
+            self._m["evictions"].inc()
 
     # ------------------------------------------------------------------
     @property
@@ -743,9 +731,14 @@ class SharedCacheManager:
         return "closed" if breaker is None else breaker.state
 
     def cache_info(self) -> dict:
-        """Counters + per-key footprint (plain JSON-serialisable dict)."""
+        """Counters + per-key footprint (plain JSON-serialisable dict).
+
+        The counters are read back from the registry instruments, as
+        ints; ``hits`` includes the stale serves."""
         with self._lock:
             now = time.monotonic()
+            lookups = self._m_lookups.by_label()
+            stale = int(lookups.get("stale", 0))
             return {
                 "entries": len(self._entries),
                 "keys": [
@@ -762,19 +755,11 @@ class SharedCacheManager:
                     }
                     for (dataset, metric, bucket), entry in self._entries.items()
                 ],
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "expirations": self.expirations,
-                "builds": self.builds,
-                "coalesced_builds": self.coalesced_builds,
-                "build_failures": self.build_failures,
+                "hits": int(lookups.get("hit", 0)) + stale,
+                "misses": int(lookups.get("miss", 0)),
                 "stale_entries": len(self._stale),
-                "stale_served": self.stale_served,
-                "corrupt_entries": self.corrupt_entries,
-                "shm_hits": self.shm_hits,
-                "shm_stores": self.shm_stores,
-                "migrations": self.migrations,
+                "stale_served": stale,
+                **{key: int(counter.value()) for key, counter in self._m.items()},
                 "backing": (
                     None if self.backing is None else self.backing.info()
                 ),
@@ -787,8 +772,6 @@ class SharedCacheManager:
                 "max_bytes": self.max_bytes,
                 "ttl_s": self.ttl_s,
             }
-
-    info = cache_info
 
     def clear(self) -> None:
         with self._lock:
@@ -813,11 +796,7 @@ class SharedCacheManager:
             return len(self._entries)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"SharedCacheManager(entries={len(self)}, hits={self.hits}, "
-            f"misses={self.misses}, builds={self.builds}, "
-            f"coalesced={self.coalesced_builds})"
-        )
+        return f"SharedCacheManager(entries={len(self)}, bytes={self.total_bytes})"
 
 
 class SharedCacheView(AdjacencyCache):
@@ -910,21 +889,8 @@ class SharedCacheView(AdjacencyCache):
                 "max_entries": self.manager.max_entries,
                 "max_bytes": self.manager.max_bytes,
                 "shared": {
-                    key: shared[key]
-                    for key in (
-                        "entries",
-                        "hits",
-                        "misses",
-                        "builds",
-                        "coalesced_builds",
-                        "build_failures",
-                        "stale_entries",
-                        "stale_served",
-                        "corrupt_entries",
-                        "evictions",
-                        "expirations",
-                        "bytes",
-                    )
+                    key: value for key, value in shared.items()
+                    if key not in ("keys", "breakers", "backing")
                 },
             }
 

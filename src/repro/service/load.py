@@ -21,7 +21,6 @@ import time
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.experiments.perf import _WORKLOADS, bench_radius
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import iter_trace_records
 from repro.service.cache import SharedCacheManager
 from repro.service.client import RetryPolicy, ServiceClient, ServiceError
@@ -224,9 +223,7 @@ def replay_single(
     )
     faults = FaultInjector(fault_config) if fault_config is not None else None
     cache = SharedCacheManager(breaker_reset_s=0.25, faults=faults)
-    # Its own registry: /stats then counts this server's requests only.
-    state = ServiceState(registry, cache=cache, workers=CLIENTS, faults=faults,
-                         metrics=MetricsRegistry())
+    state = ServiceState(registry, cache=cache, workers=CLIENTS, faults=faults)
     with start_in_thread(state, trace_log=trace_log) as running:
         # Load the dataset outside the replay (a warm server).
         registry.get(WORKLOAD)

@@ -169,11 +169,15 @@ class CircuitBreaker:
     A successful probe closes the circuit, a failed one re-opens it
     immediately.  :meth:`allow` is the admission question; it returns
     True exactly once per half-open window so concurrent threads cannot
-    stampede the recovering dependency.
+    stampede the recovering dependency.  Transitions count into
+    ``metrics``, the registry of the cache that owns the breaker.
     """
 
     def __init__(
-        self, failure_threshold: int = 3, reset_after_s: float = 30.0
+        self,
+        metrics: obs_metrics.MetricsRegistry,
+        failure_threshold: int = 3,
+        reset_after_s: float = 30.0,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError(
@@ -187,7 +191,7 @@ class CircuitBreaker:
         self._state = "closed"
         self._failures = 0
         self._opened_at = 0.0
-        self._m_transitions = obs_metrics.registry().counter(
+        self._m_transitions = metrics.counter(
             "repro_breaker_transitions_total",
             "Circuit-breaker state transitions, by destination state.",
             ("to",),

@@ -357,6 +357,9 @@ class HTTPCore:
         self.host = host
         self.port = port
         self.drain_s = float(drain_s)
+        #: The server's one metrics registry: the request counters
+        #: below, and every other counter ``/stats`` reports.
+        self.metrics = metrics
         self.trace_sink = trace_sink
         self._trace_worker = trace_worker
         self._m_requests = metrics.counter(
@@ -553,13 +556,11 @@ class DiscServer(HTTPCore):
         *,
         drain_s: float = 5.0,
         trace_log: Optional[str] = None,
-        trace_sink: Optional[TraceSink] = None,
     ) -> None:
-        if trace_sink is None and trace_log:
-            trace_sink = TraceSink(trace_log)
         super().__init__(
             host, port, drain_s=drain_s, metrics=state.metrics,
-            trace_sink=trace_sink, trace_worker=state.identity,
+            trace_sink=TraceSink(trace_log) if trace_log else None,
+            trace_worker=state.identity,
         )
         self.state = state
         self._inflight: Dict[str, asyncio.Future] = {}
@@ -615,7 +616,7 @@ class DiscServer(HTTPCore):
         return 200, {**self.state.stats(), **self.http_counters()}
 
     async def _metrics(self, body: dict) -> Tuple[int, str]:
-        return 200, self.state.metrics.render()
+        return 200, self.metrics.render()
 
     async def _datasets(self, body: dict) -> Tuple[int, dict]:
         return 200, {"datasets": self.state.registry.describe()}
@@ -743,15 +744,15 @@ class DiscServer(HTTPCore):
             done = self._completed.get(idem)
             if done is not None:
                 self._completed.move_to_end(idem)
-                state.count_coalesced()
+                state.counters["coalesced_requests"].inc()
                 return done, True
             existing = self._idem_inflight.get(idem)
             if existing is not None:
-                state.count_coalesced()
+                state.counters["coalesced_requests"].inc()
                 return await self._await_follower(existing, token), True
         existing = self._inflight.get(key)
         if existing is not None:
-            state.count_coalesced()
+            state.counters["coalesced_requests"].inc()
             return await self._await_follower(existing, token), True
         if (
             state.max_inflight is not None

@@ -14,8 +14,10 @@ stays responsive.  It owns:
 * one :class:`~repro.index.base.NeighborIndex` per (dataset, engine
   spec), built on first use behind a per-key lock — the serving
   analogue of :class:`~repro.api.DiscSession`'s index-once contract,
-* computation counters for ``/stats`` (request and response counts
-  live in the metrics registry, where the HTTP core keeps them).
+* the server's metrics registry (its cache's, or a fresh one), the
+  only store of every ``/stats`` counter: this class's, the HTTP
+  core's and the cache's.  The in-flight gauge, which gates
+  admission, is the one plain int.
 
 Selections run the same heuristics as :func:`repro.api.disc_select`
 over the same validated :class:`~repro.requests.SelectRequest`, so a
@@ -39,12 +41,26 @@ from repro.core.result import DiscResult
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.requests import METHODS, EngineSpec, SelectRequest
-from repro.service.cache import LazyMigration, SharedCacheManager
+from repro.service.cache import LazyMigration, SharedCacheManager, phase_histogram
 from repro.service.registry import DatasetHandle, DatasetRegistry
 from repro.service.resilience import resolve_deadline
 from repro.validation import validate_radius
 
 __all__ = ["ServiceState", "canonical_key"]
+
+
+#: ``/stats`` counters by key, with the registry family that is each
+#: one's only store.
+_COUNTERS = {
+    "computations": ("repro_computations_total",
+                     "Selections/zooms/mutations executed"),
+    "coalesced_requests": ("repro_coalesced_requests_total",
+                           "Requests answered by joining identical in-flight work"),
+    "degraded_responses": ("repro_degraded_responses_total",
+                           "Responses served from the stale tier"),
+    "mutations_applied": ("repro_mutations_applied_total",
+                          "Mutation batches applied"),
+}
 
 
 def canonical_key(kind: str, dataset_id: str, payload: dict) -> str:
@@ -74,7 +90,8 @@ class ServiceState:
         Dataset catalogue (a fresh empty one by default).
     cache:
         A :class:`SharedCacheManager`, or None to serve without the
-        shared adjacency cache (every request rebuilds).
+        shared adjacency cache (every request rebuilds).  Its metrics
+        registry becomes this server's (:attr:`metrics`).
     engine:
         Default engine spec for requests that do not name one.
     workers:
@@ -95,15 +112,11 @@ class ServiceState:
     """
 
     #: Lock discipline (convention in :mod:`repro.engines.cache`,
-    #: enforced by ``repro lint``): the ``/stats`` counters move under
-    #: the dedicated counter lock so hot-path increments never contend
-    #: with index builds, which serialise on ``self._lock``.
+    #: enforced by ``repro lint``): the admission gauge has its own lock
+    #: so it never contends with index builds, which serialise on
+    #: ``self._lock``.
     _GUARDED_BY = {
-        "computations": "self._counter_lock",
-        "coalesced_requests": "self._counter_lock",
-        "degraded_responses": "self._counter_lock",
-        "inflight": "self._counter_lock",
-        "mutations_applied": "self._counter_lock",
+        "inflight": "self._inflight_lock",
         "_indexes": "self._lock",
         "_index_locks": "self._lock",
     }
@@ -121,7 +134,6 @@ class ServiceState:
         max_timeout_ms: Optional[float] = None,
         faults=None,
         identity: Optional[dict] = None,
-        metrics: Optional[obs_metrics.MetricsRegistry] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -146,21 +158,18 @@ class ServiceState:
         #: under ``/stats`` -> ``worker`` so the front's rollup can
         #: label each worker's counters.
         self.identity = dict(identity) if identity else None
-        #: Metrics registry shared with the server/cache instruments;
-        #: defaults to the process-wide one (``GET /metrics``), but
-        #: tests can pass an isolated registry.
-        self.metrics = metrics if metrics is not None else obs_metrics.registry()
-        self._m_phase = self.metrics.histogram(
-            "repro_phase_duration_seconds",
-            "Measured compute-phase durations, by phase",
-            labelnames=("phase",),
+        #: This server's one metrics registry (``GET /metrics``): the
+        #: cache's, so its lookups and builds render next to our own
+        #: counters, or a fresh one when serving without a cache.
+        self.metrics = (
+            cache.metrics if cache is not None else obs_metrics.MetricsRegistry()
         )
-        self._m_computations = self.metrics.counter(
-            "repro_computations_total", "Selections/zooms/mutations executed"
-        )
-        self._m_degraded = self.metrics.counter(
-            "repro_degraded_responses_total", "Responses served from the stale tier"
-        )
+        self._m_phase = phase_histogram(self.metrics)
+        #: The ``/stats`` counters by key (the server bumps
+        #: ``coalesced_requests`` on its event loop).
+        self.counters = {
+            key: self.metrics.counter(*spec) for key, spec in _COUNTERS.items()
+        }
         self.executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="disc-service"
         )
@@ -168,49 +177,25 @@ class ServiceState:
         self._indexes: Dict[Tuple[str, str], object] = {}
         self._index_locks: Dict[Tuple[str, str], threading.Lock] = {}
         self._lock = threading.Lock()
-        # ``/stats`` counters (the server counts coalesced requests on
-        # the event loop; computations increment in worker threads).
-        self.computations = 0
-        self.coalesced_requests = 0
-        self.degraded_responses = 0
         self.inflight = 0
-        self.mutations_applied = 0
-        self._counter_lock = threading.Lock()
+        self._inflight_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # Counters
+    # Admission
     # ------------------------------------------------------------------
-    def count_coalesced(self) -> None:
-        with self._counter_lock:
-            self.coalesced_requests += 1
-
-    def count_computation(self) -> None:
-        with self._counter_lock:
-            self.computations += 1
-        self._m_computations.inc()
-
-    def count_degraded(self) -> None:
-        with self._counter_lock:
-            self.degraded_responses += 1
-        self._m_degraded.inc()
-
-    def count_mutation(self) -> None:
-        with self._counter_lock:
-            self.mutations_applied += 1
-
     def adjust_inflight(self, delta: int) -> int:
-        """Move the in-flight gauge under the counter lock.
+        """Move the in-flight gauge under its lock.
 
         The server calls this from the event loop and ``/stats`` reads
         the gauge from whatever thread serves it; unlocked ``+=`` here
         was the torn-read the counter-consistency test pins.
         """
-        with self._counter_lock:
+        with self._inflight_lock:
             self.inflight += delta
             return self.inflight
 
     def current_inflight(self) -> int:
-        with self._counter_lock:
+        with self._inflight_lock:
             return self.inflight
 
     # ------------------------------------------------------------------
@@ -539,7 +524,7 @@ class ServiceState:
         scope, so the greedy loops and adjacency builders can abort
         cooperatively when the deadline passes.
         """
-        self.count_computation()
+        self.counters["computations"].inc()
         if token is None:
             token = CancellationToken()
         t0 = time.perf_counter()
@@ -558,7 +543,7 @@ class ServiceState:
             self._m_phase.observe(time.perf_counter() - sel0, phase="selection")
         degraded = token.degraded is not None
         if degraded:
-            self.count_degraded()
+            self.counters["degraded_responses"].inc()
         response = {
             "dataset": handle.dataset_id,
             "request": request.to_dict(),
@@ -626,7 +611,7 @@ class ServiceState:
         ``closest_black`` only when ``zoom_options["include"]`` names
         it; the zoom tracks the distances internally either way.
         """
-        self.count_computation()
+        self.counters["computations"].inc()
         if token is None:
             token = CancellationToken()
         t0 = time.perf_counter()
@@ -661,7 +646,7 @@ class ServiceState:
             self._m_phase.observe(time.perf_counter() - sel0, phase="selection")
         degraded = token.degraded is not None
         if degraded:
-            self.count_degraded()
+            self.counters["degraded_responses"].inc()
         closest_black = "closest_black" in zoom_options.get("include", ())
         response = {
             "dataset": handle.dataset_id,
@@ -718,7 +703,7 @@ class ServiceState:
         to the new version's keys instead of being dropped — the next
         ``/select`` hits warm.
         """
-        self.count_computation()
+        self.counters["computations"].inc()
         if token is None:
             token = CancellationToken()
         t0 = time.perf_counter()
@@ -764,10 +749,10 @@ class ServiceState:
                     self._m_phase.observe(
                         time.perf_counter() - rep0, phase="repair"
                     )
-        self.count_mutation()
+        self.counters["mutations_applied"].inc()
         degraded = token.degraded is not None
         if degraded:
-            self.count_degraded()
+            self.counters["degraded_responses"].inc()
         response = {
             "dataset": live.name,
             "dataset_id": new_id,
@@ -824,14 +809,6 @@ class ServiceState:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """The ``/stats`` payload (plain JSON-serialisable dict)."""
-        with self._counter_lock:
-            counters = {
-                "computations": self.computations,
-                "coalesced_requests": self.coalesced_requests,
-                "degraded_responses": self.degraded_responses,
-                "inflight": self.inflight,
-                "mutations_applied": self.mutations_applied,
-            }
         with self._lock:
             indexes = [
                 {"dataset": dataset, "engine": engine_key}
@@ -844,7 +821,8 @@ class ServiceState:
             "max_inflight": self.max_inflight,
             "default_timeout_ms": self.default_timeout_ms,
             "max_timeout_ms": self.max_timeout_ms,
-            **counters,
+            **{key: int(counter.value()) for key, counter in self.counters.items()},
+            "inflight": self.current_inflight(),
             # Executor backlog: computations admitted but not yet
             # running (inflight counts queued + running; this isolates
             # the queued component the rollup was blind to).

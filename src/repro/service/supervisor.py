@@ -170,7 +170,9 @@ class WorkerProcess:
     line (``{"worker_ready": true, "port": ..., "pid": ...}``) on
     stdout; :meth:`start` blocks until that line (or a ``worker_error``
     line / child exit) arrives.  A daemon thread keeps draining stdout
-    afterwards so the child can never block on a full pipe.
+    afterwards so the child can never block on a full pipe, and closes
+    the pipe at EOF; :meth:`wait` joins it, so a reaped child leaves no
+    open file behind.
     """
 
     def __init__(self, worker_id: int, config: dict) -> None:
@@ -180,6 +182,7 @@ class WorkerProcess:
         self.port: Optional[int] = None
         self.pid: Optional[int] = None
         self._lines: "queue.Queue[str]" = queue.Queue()
+        self._drainer: Optional[threading.Thread] = None
         #: Set once :meth:`start` has returned or raised; a reaper waits
         #: on it so a spawn still in flight cannot outlive teardown.
         self.settled = threading.Event()
@@ -222,11 +225,12 @@ class WorkerProcess:
             text=True,
             env=env,
         )
-        threading.Thread(
+        self._drainer = threading.Thread(
             target=self._drain_stdout,
             name=f"disc-worker-{self.worker_id}-stdout",
             daemon=True,
-        ).start()
+        )
+        self._drainer.start()
         deadline = time.monotonic() + timeout_s
         while True:
             if abort is not None and abort.is_set():
@@ -269,11 +273,9 @@ class WorkerProcess:
         proc = self.proc
         if proc is None or proc.stdout is None:  # pragma: no cover
             return
-        try:
+        with proc.stdout:  # the only reader closes the pipe, at EOF
             for line in proc.stdout:
                 self._lines.put(line)
-        except ValueError:  # pragma: no cover - stdout closed under us
-            pass
 
     # ------------------------------------------------------------------
     def poll(self) -> Optional[int]:
@@ -294,9 +296,13 @@ class WorkerProcess:
         if self.proc is None:
             return None
         try:
-            return self.proc.wait(timeout=timeout)
+            code = self.proc.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
             return None
+        # The child is gone, so its pipe is at EOF: the drainer closes
+        # it now.
+        self._drainer.join(timeout=5.0)
+        return code
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +344,27 @@ _TOTALS = {
 }
 
 
+#: The front's counters by ``/stats`` ``supervisor`` key, with the
+#: registry family that is each one's only store; restarts and crashes
+#: count per worker slot, and ``supervisor`` reports their totals.
+_COUNTERS = {
+    "replays": ("repro_request_replays_total",
+                "Requests replayed onto another worker after a transport failure."),
+    "restarts": ("repro_worker_restarts_total",
+                 "Workers restarted and back in rotation, by slot.", ("worker",)),
+    "crashes": ("repro_worker_crashes_total",
+                "Worker deaths detected, by slot.", ("worker",)),
+    "stall_kills": ("repro_worker_stall_kills_total",
+                    "Workers SIGKILLed after consecutive dark heartbeat probes."),
+    "quarantined": ("repro_workers_quarantined_total",
+                    "Worker slots quarantined after a crash loop."),
+    "mutations_routed": ("repro_mutations_routed_total",
+                         "Mutation batches applied by a replica and logged."),
+    "mutations_replayed": ("repro_mutations_replayed_total",
+                           "Logged mutation batches replayed into restarted workers."),
+}
+
+
 class _WorkerSlot:
     """The supervisor's bookkeeping for one worker position."""
 
@@ -351,8 +378,6 @@ class _WorkerSlot:
         "inflight",
         "consecutive_probe_failures",
         "crash_times",
-        "restarts",
-        "crashes",
         "pool",
     )
 
@@ -366,8 +391,6 @@ class _WorkerSlot:
         self.inflight = 0
         self.consecutive_probe_failures = 0
         self.crash_times: deque = deque()
-        self.restarts = 0
-        self.crashes = 0
         #: Idle keep-alive connections: list of (reader, writer).
         self.pool: List[tuple] = []
 
@@ -378,8 +401,6 @@ class _WorkerSlot:
             "pid": None if self.process is None else self.process.pid,
             "port": None if self.process is None else self.process.port,
             "generation": self.generation,
-            "restarts": self.restarts,
-            "crashes": self.crashes,
             "inflight_front": self.inflight,
             "datasets": list(self.datasets),
         }
@@ -395,18 +416,12 @@ class Supervisor(HTTPCore):
     """
 
     #: Lock discipline (convention in :mod:`repro.engines.cache`): the
-    #: supervisor is single-threaded on its event loop, so every
-    #: counter and routing gauge is guarded by the ``event-loop``
-    #: sentinel rather than a lock.  Sync helpers that mutate these run
-    #: only as event-loop callees and say so in their docstrings.
+    #: supervisor is single-threaded on its event loop, so its routing
+    #: state is guarded by the ``event-loop`` sentinel rather than a
+    #: lock (its counters live in the metrics registry).  Sync helpers
+    #: that mutate this state run only as event-loop callees and say so
+    #: in their docstrings.
     _GUARDED_BY = {
-        "replays": "event-loop",
-        "restarts": "event-loop",
-        "crashes": "event-loop",
-        "stall_kills": "event-loop",
-        "quarantined": "event-loop",
-        "mutations_routed": "event-loop",
-        "mutations_replayed": "event-loop",
         "_rr": "event-loop",
         "_restart_tasks": "event-loop",
         "_mutation_logs": "event-loop",
@@ -434,14 +449,14 @@ class Supervisor(HTTPCore):
     ) -> None:
         if not worker_configs:
             raise ValueError("at least one worker config is required")
-        # The front's own registry: its request counts are the cluster's.
+        # The front's own registry: its request counts are the cluster's,
+        # and its failover and supervision counters live here too.
         metrics = obs_metrics.MetricsRegistry()
         super().__init__(
             host, port, drain_s=5.0, metrics=metrics,
             trace_sink=None if trace_log is None else TraceSink(trace_log),
             trace_worker={"role": "front"},
         )
-        self.metrics = metrics
         self.run_id = run_id
         self.heartbeat_s = heartbeat_s
         self.probe_timeout_s = probe_timeout_s
@@ -468,14 +483,6 @@ class Supervisor(HTTPCore):
         self._stopping = threading.Event()
         self._rr = 0
         self.started_at = time.time()
-        # Counters (event-loop-owned).
-        self.replays = 0
-        self.restarts = 0
-        self.crashes = 0
-        self.stall_kills = 0
-        self.quarantined = 0
-        self.mutations_routed = 0
-        self.mutations_replayed = 0
         #: The authoritative ordered mutation history per live dataset.
         #: Workers are replicas of this log: a fresh worker (restarted
         #: after a crash — version 0 again) replays it in order before
@@ -484,10 +491,7 @@ class Supervisor(HTTPCore):
         self._mutation_logs: Dict[str, List[dict]] = {}
         #: Per-dataset ordering: one mutation fan-out at a time.
         self._mutation_locks: Dict[str, asyncio.Lock] = {}
-        self._m_replays = metrics.counter(
-            "repro_request_replays_total",
-            "Requests replayed onto another worker after a transport failure.",
-        )
+        self._m = {key: metrics.counter(*spec) for key, spec in _COUNTERS.items()}
         self._routes = {
             "/healthz": ("GET", self._healthz),
             "/stats": ("GET", self._rollup),
@@ -709,8 +713,7 @@ class Supervisor(HTTPCore):
                     )
             except _TRANSPORT_ERRORS:
                 await self._check_corpse(slot)
-                self.replays += 1
-                self._m_replays.inc()
+                self._m["replays"].inc()
                 replays += 1
                 obs_trace.annotate_root(replayed=True, replays=replays)
                 if replays > self.max_replays:
@@ -792,7 +795,7 @@ class Supervisor(HTTPCore):
                 if key not in ("repair", "timeout_ms")
             }
             self._mutation_logs.setdefault(dataset, []).append(log_entry)
-            self.mutations_routed += 1
+            self._m["mutations_routed"].inc()
             response = dict(successes[0])
             response["replicas_applied"] = len(successes)
             return 200, response
@@ -920,7 +923,7 @@ class Supervisor(HTTPCore):
                             # way out is SIGKILL + restart; the corpse's
                             # sockets die, freeing any in-flight request
                             # to fail over.
-                            self.stall_kills += 1
+                            self._m["stall_kills"].inc()
                             process.kill()
                             self._on_crash(slot, "stall")
         except asyncio.CancelledError:
@@ -932,8 +935,7 @@ class Supervisor(HTTPCore):
         slot.state = "restarting"
         slot.generation += 1
         slot.consecutive_probe_failures = 0
-        slot.crashes += 1
-        self.crashes += 1
+        self._m["crashes"].inc(worker=slot.id)
         self._close_pool(slot)
         now = time.monotonic()
         slot.crash_times.append(now)
@@ -943,7 +945,7 @@ class Supervisor(HTTPCore):
             # Crash loop: stop burning restarts; the datasets this slot
             # served fail over to the surviving replicas.
             slot.state = "quarantined"
-            self.quarantined += 1
+            self._m["quarantined"].inc()
             return
         if self._stopping.is_set():
             return  # no replacement during teardown; the reap takes the corpse
@@ -985,8 +987,7 @@ class Supervisor(HTTPCore):
             if slot.state == "restarting":
                 self._on_crash(slot, "replay-failed")
             return
-        slot.restarts += 1
-        self.restarts += 1
+        self._m["restarts"].inc(worker=slot.id)
 
     async def _replay_mutations(self, slot: _WorkerSlot) -> None:
         """Bring a fresh worker up to date, then mark it healthy.
@@ -1018,7 +1019,7 @@ class Supervisor(HTTPCore):
                             f"mutation replay for {name!r} answered {status}: "
                             f"{_decode(answer)}"
                         )
-                    self.mutations_replayed += 1
+                    self._m["mutations_replayed"].inc()
             slot.state = "healthy"
         finally:
             for lock in acquired:
@@ -1050,6 +1051,8 @@ class Supervisor(HTTPCore):
         totals = dict.fromkeys(_TOTALS[None] + _TOTALS["cache"], 0)
         for slot, stats in await self._worker_stats():
             entry = slot.describe()
+            for key in ("restarts", "crashes"):
+                entry[key] = int(self._m[key].value(worker=slot.id))
             entry["stats"] = stats
             workers.append(entry)
             if stats is None:
@@ -1065,13 +1068,7 @@ class Supervisor(HTTPCore):
             "run_id": self.run_id,
             **self.http_counters(),
             "supervisor": {
-                "replays": self.replays,
-                "restarts": self.restarts,
-                "crashes": self.crashes,
-                "stall_kills": self.stall_kills,
-                "quarantined": self.quarantined,
-                "mutations_routed": self.mutations_routed,
-                "mutations_replayed": self.mutations_replayed,
+                **{key: int(counter.total()) for key, counter in self._m.items()},
                 "mutation_log": {
                     name: len(entries)
                     for name, entries in self._mutation_logs.items()

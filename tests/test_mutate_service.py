@@ -232,16 +232,16 @@ class TestCacheMigration:
     def test_mutation_migrates_touched_buckets(self, client, service, rng):
         cache = service.state.cache
         client.select("livearr", RADIUS, engine=ENGINE)
-        builds_before = cache.builds
+        builds_before = cache.cache_info()["builds"]
         response = client.mutate(
             "livearr", inserts=rng.random((4, 2)).tolist(), deletes=[3]
         )
         assert response["migrated_buckets"] == 1
-        assert cache.migrations == 1
+        assert cache.cache_info()["migrations"] == 1
         client.select("livearr", RADIUS, engine=ENGINE)
         # The post-mutation select hits the migrated snapshot: no new
         # build (incremental or otherwise) is recorded.
-        assert cache.builds == builds_before
+        assert cache.cache_info()["builds"] == builds_before
 
     def test_untouched_radii_not_migrated(self, client, rng):
         response = client.mutate(

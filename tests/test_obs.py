@@ -460,8 +460,7 @@ class TestMetricsEndpoint:
         client.select("uniform", RADIUS, engine=ENGINE)
         client.select("uniform", RADIUS, engine=ENGINE)
         _, _, after = _http_get(host, port, "/metrics")
-        # Delta-based: the registry is process-global, other tests also
-        # drive this server.
+        # Delta-based: other tests also drive this server.
         assert _sample(after, "repro_http_responses_total", 'status="200"') >= served + 2
         assert (
             _sample(after, "repro_traces_written_total")
@@ -482,6 +481,36 @@ class TestMetricsEndpoint:
         count = _sample(body, "repro_request_duration_seconds_count", 'path="/select"')
         assert buckets[-1] == count  # the +Inf bucket is the total
         assert _sample(body, "repro_request_duration_seconds_sum", 'path="/select"') > 0
+
+    def test_stats_counters_are_read_from_the_registry(self, client):
+        """``/stats`` reports the registry's own counters, as ints, and
+        the cache shares the server's registry (one store, one help
+        text per family)."""
+        client.select("uniform", RADIUS, engine=ENGINE)
+        client.select("uniform", RADIUS, engine=ENGINE)
+        stats = client.stats()
+        snapshot = stats["metrics"]
+
+        def value(name):
+            return sum(s["value"] for s in snapshot[name]["samples"])
+
+        for key, name in (
+            ("computations", "repro_computations_total"),
+            ("coalesced_requests", "repro_coalesced_requests_total"),
+            ("degraded_responses", "repro_degraded_responses_total"),
+            ("mutations_applied", "repro_mutations_applied_total"),
+        ):
+            assert isinstance(stats[key], int) and stats[key] == value(name), key
+        assert stats["computations"] >= 2
+        assert stats["cache"]["builds"] == value("repro_adjacency_builds_total") >= 1
+        assert stats["cache"]["hits"] == value("repro_cache_lookups_total") - (
+            stats["cache"]["misses"]
+        )
+        phases = snapshot["repro_phase_duration_seconds"]
+        assert phases["help"] == "Measured duration of one request phase, by phase."
+        assert {s["labels"]["phase"] for s in phases["samples"]} >= {
+            "adjacency-build", "selection",
+        }
 
     def test_stats_folds_in_metrics_and_queue_depth(self, client):
         stats = client.stats()

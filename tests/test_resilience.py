@@ -37,6 +37,7 @@ from repro.cancellation import (
     current_token,
 )
 from repro.datasets import uniform_dataset
+from repro.obs.metrics import MetricsRegistry
 from repro.service import (
     DatasetRegistry,
     ServiceClient,
@@ -207,7 +208,7 @@ class TestExtractRequestMeta:
 # ----------------------------------------------------------------------
 class TestCircuitBreaker:
     def test_trips_after_threshold(self):
-        breaker = CircuitBreaker(failure_threshold=3, reset_after_s=60.0)
+        breaker = CircuitBreaker(MetricsRegistry(), failure_threshold=3, reset_after_s=60.0)
         for _ in range(2):
             breaker.record_failure()
             assert breaker.state == "closed"
@@ -217,7 +218,7 @@ class TestCircuitBreaker:
         assert breaker.retry_after_s() > 0
 
     def test_half_open_admits_exactly_one_probe(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_after_s=0.05)
+        breaker = CircuitBreaker(MetricsRegistry(), failure_threshold=1, reset_after_s=0.05)
         breaker.record_failure()
         assert breaker.state == "open"
         time.sleep(0.06)
@@ -226,7 +227,7 @@ class TestCircuitBreaker:
         assert not breaker.allow()  # concurrent callers stay out
 
     def test_probe_success_closes(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_after_s=0.02)
+        breaker = CircuitBreaker(MetricsRegistry(), failure_threshold=1, reset_after_s=0.02)
         breaker.record_failure()
         time.sleep(0.03)
         assert breaker.allow()
@@ -235,7 +236,7 @@ class TestCircuitBreaker:
         assert breaker.allow()
 
     def test_probe_failure_reopens_immediately(self):
-        breaker = CircuitBreaker(failure_threshold=5, reset_after_s=0.02)
+        breaker = CircuitBreaker(MetricsRegistry(), failure_threshold=5, reset_after_s=0.02)
         for _ in range(5):
             breaker.record_failure()
         time.sleep(0.03)
@@ -246,10 +247,10 @@ class TestCircuitBreaker:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
+            CircuitBreaker(MetricsRegistry(), failure_threshold=0)
         with pytest.raises(ValueError):
-            CircuitBreaker(reset_after_s=0)
-        assert json.dumps(CircuitBreaker().describe())
+            CircuitBreaker(MetricsRegistry(), reset_after_s=0)
+        assert json.dumps(CircuitBreaker(MetricsRegistry()).describe())
 
 
 # ----------------------------------------------------------------------
@@ -321,7 +322,7 @@ class TestSingleFlightFailure:
         assert outcome["kind"] == "failed"
         assert outcome["cause"] is boom
         assert outcome["waited"] < 5.0  # prompt, not build_wait_s
-        assert manager.build_failures == 1
+        assert manager.cache_info()["build_failures"] == 1
 
     def test_build_failed_message_does_not_leak_cause_str(self):
         exc = BuildFailed(KEY, RuntimeError("exploded at /secret/path"))
@@ -345,7 +346,7 @@ class TestSingleFlightFailure:
         thread.join(timeout=5)
         assert not thread.is_alive()
         assert got == [None]  # the waiter now owns the build slot
-        assert manager.build_failures == 0
+        assert manager.cache_info()["build_failures"] == 0
         assert manager.breaker_state(KEY) == "closed"
         manager.abandon(KEY)
 
@@ -381,7 +382,6 @@ class TestBreakerAndStaleTier:
             served = manager.get(KEY)
         assert served is value  # datasets are immutable: same bytes
         assert token.degraded == "stale-adjacency:circuit-open"
-        assert manager.stale_served == 1
         info = manager.cache_info()
         assert info["stale_entries"] == 1 and info["stale_served"] == 1
 
@@ -416,7 +416,7 @@ class TestBreakerAndStaleTier:
         assert manager.get(KEY) is None
         manager.put(KEY, value)  # stored copy is poisoned on the way in
         assert manager.get(KEY) is None  # integrity check drops it
-        assert manager.corrupt_entries == 1
+        assert manager.cache_info()["corrupt_entries"] == 1
         assert faults.fired["corrupt_cache"] == 1
         manager.abandon(KEY)
 
@@ -483,18 +483,12 @@ class TestCounterConsistency:
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
         assert not snapshots_bad
-        assert manager.builds == sum(t["puts"] for t in tallies)
-        assert manager.build_failures == sum(t["fails"] for t in tallies)
-        for counter in (
-            manager.hits,
-            manager.misses,
-            manager.evictions,
-            manager.expirations,
-            manager.coalesced_builds,
-            manager.stale_served,
-            manager.corrupt_entries,
-        ):
-            assert counter >= 0
+        info = manager.cache_info()
+        assert info["builds"] == sum(t["puts"] for t in tallies)
+        assert info["build_failures"] == sum(t["fails"] for t in tallies)
+        for key in ("hits", "misses", "evictions", "expirations",
+                    "coalesced_builds", "stale_served", "corrupt_entries"):
+            assert isinstance(info[key], int) and info[key] >= 0
 
     def test_inflight_gauge_balanced_under_threads(self):
         registry = DatasetRegistry()

@@ -129,7 +129,7 @@ class TestSharedCacheManager:
         view.put(0.3, _Sized(8))
         # 0.1 * 3 != 0.3 exactly, but it is the same radius to a user.
         assert view.get(0.1 * 3) is not None
-        assert manager.hits == 1 and manager.builds == 1
+        assert manager.cache_info()["hits"] == 1 and manager.cache_info()["builds"] == 1
 
     def test_views_namespace_datasets_and_metrics(self):
         manager = SharedCacheManager()
@@ -153,7 +153,7 @@ class TestSharedCacheManager:
         time.sleep(0.08)
         assert manager.get(key) is None  # expired -> miss, slot claimed
         manager.abandon(key)
-        assert manager.expirations == 1
+        assert manager.cache_info()["expirations"] == 1
 
     def test_byte_budget_evicts_lru(self):
         manager = SharedCacheManager(max_entries=None, max_bytes=100)
@@ -162,7 +162,7 @@ class TestSharedCacheManager:
             manager.get(key)
             manager.put(key, _Sized(60))
         assert len(manager) == 1  # only the most recent survives 100B
-        assert manager.evictions == 2
+        assert manager.cache_info()["evictions"] == 2
         assert manager.cache_info()["bytes"] <= 100
 
     def test_concurrent_misses_coalesce_to_one_build(self):
@@ -191,8 +191,78 @@ class TestSharedCacheManager:
             t.join()
         assert outcomes.count("built") == 1
         assert outcomes.count("waited") == 3
-        assert manager.builds == 1
-        assert manager.coalesced_builds == 3
+        assert manager.cache_info()["builds"] == 1
+        assert manager.cache_info()["coalesced_builds"] == 3
+
+    def test_cache_info_and_metrics_read_one_store(self):
+        """Every counter of ``cache_info()`` (``/stats``) equals the
+        manager's registry (``/metrics``) after each kind of event:
+        miss, corrupt entry, coalesced wait, hit, expiration, stale serve
+        behind an open breaker, eviction.  ``hits`` is hit + stale."""
+        from repro.service.faults import FaultConfig, FaultInjector
+
+        manager = SharedCacheManager(
+            max_entries=2, ttl_s=0.3, failure_threshold=1, breaker_reset_s=60.0,
+            faults=FaultInjector(FaultConfig(seed=0, corrupt_cache_rate=1.0)),
+        )
+        keys = [("ds", "euclidean", r) for r in (0.1, 0.2, 0.3, 0.4, 0.5)]
+        # Corrupt entry: poisoned on put, dropped on the next read.
+        assert manager.get(keys[0]) is None
+        manager.put(keys[0], _Sized(8))
+        assert manager.get(keys[0]) is None
+        manager.abandon(keys[0])
+        manager.faults = None
+        # Coalesced wait, then a plain hit.
+        assert manager.get(keys[1]) is None
+        waiter = threading.Thread(target=manager.get, args=(keys[1],))
+        waiter.start()
+        time.sleep(0.05)
+        manager.put(keys[1], _Sized(8))
+        waiter.join()
+        assert manager.get(keys[1]) is not None
+        # Expiration, a failed rebuild opens the breaker, stale serve.
+        time.sleep(0.35)
+        assert manager.get(keys[1]) is None
+        manager.fail(keys[1], RuntimeError("boom"))
+        assert manager.get(keys[1]) is not None
+        # Eviction: three fresh entries over a budget of two.
+        for key in keys[2:]:
+            assert manager.get(key) is None
+            manager.put(key, _Sized(8))
+
+        samples = {}
+        for line in manager.metrics.render().splitlines():
+            if not line.startswith("#"):
+                ident, _, value = line.rpartition(" ")
+                samples[ident] = float(value)
+        lookups = 'repro_cache_lookups_total{outcome="%s"}'
+        families = {
+            "misses": lookups % "miss",
+            "stale_served": lookups % "stale",
+            "builds": "repro_adjacency_builds_total",
+            "coalesced_builds": "repro_cache_coalesced_builds_total",
+            "build_failures": "repro_adjacency_build_failures_total",
+            "evictions": "repro_cache_evictions_total",
+            "expirations": "repro_cache_expirations_total",
+            "corrupt_entries": "repro_cache_corrupt_entries_total",
+            "shm_hits": "repro_shm_attaches_total",
+            "shm_stores": "repro_shm_stores_total",
+            "migrations": "repro_cache_migrations_total",
+        }
+        info = manager.cache_info()
+        for key, series in families.items():
+            assert info[key] == samples.get(series, 0), key
+        assert info["hits"] == samples[lookups % "hit"] + samples[lookups % "stale"]
+        assert {key: info[key] for key in (
+            "hits", "misses", "builds", "coalesced_builds", "build_failures",
+            "evictions", "expirations", "corrupt_entries", "stale_served",
+        )} == {
+            "hits": 3, "misses": 7, "builds": 5, "coalesced_builds": 1,
+            "build_failures": 1, "evictions": 1, "expirations": 1,
+            "corrupt_entries": 1, "stale_served": 1,
+        }
+        # The breaker counts into its manager's registry too.
+        assert samples['repro_breaker_transitions_total{to="open"}'] == 1
 
     def test_abandon_releases_waiters(self):
         manager = SharedCacheManager(build_wait_s=5.0)
@@ -407,12 +477,13 @@ class TestServerEndpoints:
 
     def test_request_counters_stay_bounded_under_junk(self):
         """Unknown paths and made-up methods collapse into ``other``, so
-        client input cannot grow ``/stats`` or ``/metrics``."""
-        from repro.obs.metrics import MetricsRegistry
-
+        client input cannot grow ``/stats`` or ``/metrics``.  The server
+        counts into its own registry, cache series included."""
         routes = ["GET /healthz", "GET /stats", "GET /metrics", "GET /datasets",
                   "POST /select", "POST /zoom", "POST /mutate"]
-        state = ServiceState(DatasetRegistry(), metrics=MetricsRegistry())
+        registry = DatasetRegistry()
+        registry.register_builtin("uniform", n=50, seed=1)
+        state = ServiceState(registry, cache=SharedCacheManager())
         with start_in_thread(state) as running:
             conn = http.client.HTTPConnection(running.host, running.port, timeout=30)
             try:
@@ -425,13 +496,16 @@ class TestServerEndpoints:
             finally:
                 conn.close()
             with ServiceClient(running.host, running.port) as client:
+                client.select("uniform", RADIUS, engine=ENGINE)
                 keys = set(client.stats()["requests"])
-        (series,) = [
-            entry["samples"]
-            for name, entry in state.metrics.snapshot().items()
-            if name == "repro_http_requests_total"
-        ]
+        snapshot = state.metrics.snapshot()
+        series = snapshot["repro_http_requests_total"]["samples"]
         labels = {sample["labels"]["endpoint"] for sample in series}
+        assert {"labels": {"endpoint": "POST /select"}, "value": 1.0} in series
+        assert "repro_cache_lookups_total" in snapshot
+        other = ServiceState(DatasetRegistry())
+        other.close()
+        assert other.metrics is not state.metrics
         allowed = {f"{m} {p.split()[1]}" for m in ("GET", "POST", "other")
                    for p in routes} | {f"{m} other" for m in ("GET", "POST", "other")}
         for seen in (keys, labels):

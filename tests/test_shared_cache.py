@@ -90,9 +90,9 @@ def test_concurrent_sessions_share_one_build_per_radius(data, serial_reference):
 
     # 2. Each adjacency was built exactly once across all sessions —
     #    concurrent first-misses coalesced instead of double-building.
-    assert manager.builds == len(set(RADII))
+    assert manager.cache_info()["builds"] == len(set(RADII))
     # Everyone else was served from the shared store.
-    assert manager.hits + manager.coalesced_builds > 0
+    assert manager.cache_info()["hits"] + manager.cache_info()["coalesced_builds"] > 0
     info = manager.cache_info()
     assert info["entries"] == len(set(RADII))
 
@@ -110,10 +110,10 @@ def test_session_attach_reports_shared_cache_info(data):
     info = session.cache_info()
     assert info["dataset"] == "clustered-info"
     assert info["hits"] >= 1
-    assert info["shared"]["builds"] == manager.builds
+    assert info["shared"]["builds"] == manager.cache_info()["builds"]
     # And the same radii replayed on a *second* session reuse the
     # first session's adjacency outright: no new build.
-    builds_before = manager.builds
+    builds_before = manager.cache_info()["builds"]
     other = DiscSession(
         data,
         engine="grid",
@@ -121,4 +121,4 @@ def test_session_attach_reports_shared_cache_info(data):
         adjacency_cache=manager.view("clustered-info", data.metric),
     )
     assert other.select(0.05).selected == session.select(0.05).selected
-    assert manager.builds == builds_before
+    assert manager.cache_info()["builds"] == builds_before

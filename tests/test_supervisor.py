@@ -457,7 +457,8 @@ class TestSupervisedCluster:
     def test_crash_mid_request_is_replayed(self):
         """Deterministic worker_crash on one worker: the client sees
         200s only; the supervisor logs the replay and restarts the
-        corpse."""
+        corpse.  Every worker, the corpse included, leaves its stdout
+        pipe closed once reaped."""
         crash = {"seed": 3, "worker_crash_rate": 1.0, "worker_crash_limit": 1}
         cluster = start_supervised(
             ["uniform"],
@@ -467,6 +468,7 @@ class TestSupervisedCluster:
             heartbeat_s=0.1,
             faults=[crash, None],
         )
+        first = cluster.supervisor.spawned_processes()
         try:
             with ServiceClient(cluster.host, cluster.port) as client:
                 for _ in range(4):
@@ -489,6 +491,9 @@ class TestSupervisedCluster:
                 assert supervisor["quarantined"] == 0
         finally:
             cluster.stop()
+        processes = set(first) | set(cluster.supervisor.spawned_processes())
+        assert len(processes) >= 3  # two originals and the replacement
+        assert all(p.proc.stdout.closed for p in processes)
 
     def test_crash_loop_quarantines_and_503s(self):
         """A worker that dies on every request trips the loop breaker;
