@@ -1,10 +1,12 @@
-"""Loader and binding for the compiled selection kernel (``_select.c``).
+"""Loader and binding for the compiled kernel (``_select.c``).
 
 Every greedy pass over a CSR or blocked adjacency — Greedy-DisC,
 Greedy-C, greedy zoom-in, both zoom-out passes, Basic-DisC's scan and
-the live repair — runs in one C loop (:func:`Kernel.run`).  The kernel
+the live repair — runs in one C loop (:func:`Kernel.run`), and every
+grid adjacency build filters its candidate pairs in another
+(:meth:`Kernel.grid_rows`).  The kernel
 is compiled on first use with the interpreter's C compiler
-(``sysconfig``'s ``CC``, plain ``-O2``, no host-specific flags) and
+(``sysconfig``'s ``CC``, ``-O2``, no host-specific flags) and
 cached under ``$XDG_CACHE_HOME/repro/`` (default ``~/.cache/repro/``),
 keyed by the sha256 of the source, the compiler's identity, the flags
 and the machine architecture.  The build writes a temporary file and
@@ -13,8 +15,9 @@ all compile and each loads a complete library.  ``ctypes`` releases the
 GIL for the duration of every call.
 
 When no compiler is found or the build fails, :func:`load` returns None
-after one :class:`RuntimeWarning`, and the selection entry points run
-the legacy heap paths instead (same answers, per-query cost).
+after one :class:`RuntimeWarning`; the selection entry points then run
+the legacy heap paths and the grid builds their NumPy batch passes
+(same answers, more time).
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cancellation import current_token
+from repro.distance.metrics import ChebyshevMetric, EuclideanMetric, ManhattanMetric
 
 __all__ = [
     "Kernel",
@@ -54,7 +58,13 @@ MODE_COVER, MODE_COVER_C, MODE_SCAN, MODE_RED_A, MODE_RED_B, MODE_RED_C = range(
 SOURCE = Path(__file__).with_name("_select.c")
 #: Ids per score-bound block (``BLOCK`` in ``_select.c``).
 _BLOCK = 256
-FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
+#: ``-ffp-contract=off``: a fused multiply-add in the grid distance
+#: would round differently from NumPy and flip ``<= radius`` on ties.
+#: ``-fno-math-errno``: ``sqrt`` compiles to one instruction, so the
+#: library needs nothing from libm.
+FLAGS = (
+    "-O2", "-std=c99", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno",
+)
 
 
 class _Graph(ctypes.Structure):
@@ -94,6 +104,27 @@ class _Run(ctypes.Structure):
     ]
 
 
+class _GridRows(ctypes.Structure):
+    _fields_ = [
+        ("dim", ctypes.c_int64),
+        ("metric", ctypes.c_int64),
+        ("radius", ctypes.c_double),
+        ("points", ctypes.c_void_p),
+        ("cell_of", ctypes.c_void_p),
+        ("seg_ptr", ctypes.c_void_p),
+        ("cand", ctypes.c_void_p),
+        ("is_auto", ctypes.c_void_p),
+        ("indices", ctypes.c_void_p),
+        ("cap", ctypes.c_int64),
+        ("degrees", ctypes.c_void_p),
+    ]
+
+
+#: Metrics with an inline distance in ``_select.c`` (``METRIC_*``
+#: there), by exact type: a subclass may override ``paired``.
+_GRID_METRICS = {EuclideanMetric: 0, ManhattanMetric: 1, ChebyshevMetric: 2}
+
+
 def _pointer(array: Optional[np.ndarray], dtype, size: int, *, writable=False):
     """Validated data pointer: exact dtype, C-contiguous, ``size`` long."""
     if array is None:
@@ -114,10 +145,10 @@ Batch = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]
 
 
 class Kernel:
-    """The loaded ``disc_select_batch`` entry point."""
+    """The loaded ``disc_select_batch`` and ``grid_emit_rows`` entry points."""
 
     def __init__(self, lib: ctypes.CDLL):
-        self._lib = lib  # keeps the library mapped while _fn is in use
+        self._lib = lib  # keeps the library mapped while the entry points are in use
         self._fn = lib.disc_select_batch
         self._fn.argtypes = [
             ctypes.POINTER(_Graph),
@@ -126,6 +157,71 @@ class Kernel:
             ctypes.c_int64,
         ]
         self._fn.restype = ctypes.c_int64
+        self._emit = lib.grid_emit_rows
+        self._emit.argtypes = [
+            ctypes.POINTER(_GridRows),
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.c_int64,
+        ]
+        self._emit.restype = ctypes.c_int64
+
+    def grid_rows(
+        self,
+        points: np.ndarray,
+        metric,
+        radius: float,
+        cell_of: np.ndarray,
+        seg_ptr: np.ndarray,
+        cand: np.ndarray,
+        auto: np.ndarray,
+        indices: np.ndarray,
+        degrees: np.ndarray,
+    ) -> Optional[Callable[[int, int, int], int]]:
+        """The row emitter of one grid build, or None when ``metric``
+        has no inline distance here.
+
+        ``emit(lo, hi, filled)`` writes rows ``[lo, hi)`` of the
+        candidate table (cell ``c``'s candidates ``cand[seg_ptr[c]:
+        seg_ptr[c+1]]``, ``auto`` marking the ones kept without a
+        distance) as kept ids at ``indices[filled:]`` and per-row counts
+        at ``degrees[lo:hi]``, and returns the new fill.  A row of
+        ``k`` candidates needs ``k`` free slots, one past its most edges,
+        so ``indices`` needs one slot past the last kept edge.
+        """
+        code = _GRID_METRICS.get(type(metric))
+        if code is None:
+            return None
+        n, dim = points.shape
+        table = int(seg_ptr[-1])
+        flat = np.ascontiguousarray(points, dtype=np.float64).reshape(-1)
+        is_auto = auto.view(np.uint8)
+        rows = _GridRows(
+            dim=dim,
+            metric=code,
+            radius=float(radius),
+            points=_pointer(flat, np.float64, n * dim),
+            cell_of=_pointer(cell_of, np.int64, n),
+            seg_ptr=_pointer(seg_ptr, np.int64, seg_ptr.size),
+            cand=_pointer(cand, np.int32, table),
+            is_auto=_pointer(is_auto, np.uint8, table),
+            indices=_pointer(indices, np.int32, indices.size, writable=True),
+            cap=indices.size,
+            degrees=_pointer(degrees, np.int64, n, writable=True),
+        )
+        # What the struct points into lives as long as the struct.
+        rows.arrays = (flat, cell_of, seg_ptr, cand, is_auto, indices, degrees)
+        fn = self._emit
+
+        def emit(lo: int, hi: int, filled: int) -> int:
+            if not (0 <= lo <= hi <= n and filled >= 0):
+                raise ValueError(f"rows [{lo}, {hi}) from fill {filled} out of range")
+            filled = fn(ctypes.byref(rows), lo, hi, filled)
+            if filled < 0:
+                raise ValueError("grid rows overflow the indices buffer")
+            return filled
+
+        return emit
 
     def run(
         self,
@@ -333,12 +429,13 @@ def load() -> Optional[Kernel]:
         if not _loaded:
             try:
                 _kernel = _build_and_load()
-            except (OSError, subprocess.SubprocessError) as exc:
+            except (OSError, AttributeError, subprocess.SubprocessError) as exc:
                 detail = getattr(exc, "stderr", None) or b""
                 warnings.warn(
                     "repro: the compiled selection kernel is unavailable "
                     f"({exc}{': ' + detail.decode(errors='replace')[:400] if detail else ''}); "
-                    "selections fall back to the slower heap paths",
+                    "selections fall back to the slower heap paths and grid "
+                    "builds to the NumPy batch passes",
                     RuntimeWarning,
                     stacklevel=2,
                 )

@@ -1,9 +1,9 @@
 /*
- * The DisC selection kernel: every greedy pass over a fixed-radius
- * adjacency in one C loop.
+ * The DisC kernel: every greedy pass over a fixed-radius adjacency, and
+ * the edge filter of every grid adjacency build, in C loops.
  *
- * One entry point, disc_select_batch, runs up to max_picks picks of one
- * pass and returns.  Per pick it
+ * disc_select_batch runs up to max_picks picks of one pass and returns.
+ * Per pick it
  *
  *   1. chooses the pick: the argmax of the dense score array (argmin for
  *      zoom-out variant b), lowest id on ties, or the lowest-id white for
@@ -19,11 +19,15 @@
  * repro/graph/blocked.py).  Block decrements are per-side deltas applied
  * once per pick, with the clique self-correction.
  *
+ * grid_emit_rows emits rows [lo, hi) of a grid plan's candidate table
+ * (repro/graph/csr.py) straight into the CSR arrays; see below.
+ *
  * Colors are written in place; the caller owns the per-color totals and
  * the cancellation checkpoint between batches.  Nothing here allocates:
  * all scratch is handed in, preallocated at O(n) or O(sides).
  */
 
+#include <math.h>
 #include <stdint.h>
 
 enum { WHITE = 0, GREY = 1, BLACK = 2, RED = 3 };
@@ -391,4 +395,111 @@ int64_t disc_select_batch(const Graph *g, Run *run, int32_t mode,
             run->row_ptr[k] = used;
     }
     return k;
+}
+
+/* ------------------------------------------------------------------ */
+/* Grid edge emission                                                  */
+/* ------------------------------------------------------------------ */
+
+/* Inline metrics (_GRID_METRICS in _kernel.py), mirroring their paired(). */
+enum { METRIC_L2 = 0, METRIC_L1 = 1, METRIC_LINF = 2 };
+
+typedef struct {
+    int64_t dim;
+    int64_t metric;
+    double radius;
+    const double *points;   /* n rows of dim coordinates */
+    const int64_t *cell_of; /* object -> its cell */
+    const int64_t *seg_ptr; /* cell -> its segment of the candidate table */
+    const int32_t *cand;    /* candidate ids, ascending per segment */
+    const uint8_t *is_auto; /* 1: provably within the radius */
+    int32_t *indices;       /* out: cap entries */
+    int64_t cap;
+    int64_t *degrees;       /* out: n entries */
+} GridRows;
+
+/*
+ * dist(x, y) <= radius, with the distance accumulated one coordinate at
+ * a time exactly as Euclidean/Manhattan/ChebyshevMetric.paired do (x - y
+ * per coordinate; the square root for L2; a NaN-propagating max for
+ * L-infinity, like np.maximum).  Built with -ffp-contract=off, so no
+ * multiply-add is fused and radius ties resolve as in NumPy.
+ */
+static inline int within(int64_t metric, int64_t dim, double radius,
+                         const double *x, const double *y)
+{
+    double d = x[0] - y[0];
+    if (metric == METRIC_L2) {
+        double s = d * d;
+        for (int64_t k = 1; k < dim; k++) {
+            d = x[k] - y[k];
+            s += d * d;
+        }
+        return sqrt(s) <= radius;
+    }
+    double s = fabs(d);
+    for (int64_t k = 1; k < dim; k++) {
+        d = fabs(x[k] - y[k]);
+        if (metric == METRIC_L1)
+            s += d;
+        else if (d > s || d != d)
+            s = d;
+    }
+    return s <= radius;
+}
+
+/*
+ * Emit rows [lo, hi): object p's row is its cell's candidate segment,
+ * auto entries kept outright, compute entries kept when within the
+ * radius, and p itself dropped.  Kept ids are appended at
+ * indices[filled...] and each row's count written to degrees[p].  The
+ * keep is branch free: every candidate's distance is computed and every
+ * candidate stored before the keep is known, so a row of len
+ * candidates needs len free slots, one more than its most edges.
+ * Returns the new fill, or -1 (nothing written past cap) when a row
+ * would not fit.
+ *
+ * Inlined with the metric and dimension as constants, so each copy's
+ * distance compiles to straight-line code.
+ */
+static inline __attribute__((always_inline)) int64_t
+emit_rows(const GridRows *g, int64_t lo, int64_t hi, int64_t filled,
+          const int64_t metric, const int64_t dim)
+{
+    int32_t *restrict out = g->indices;
+    const double radius = g->radius;
+    for (int64_t p = lo; p < hi; p++) {
+        const double *x = g->points + p * dim;
+        const int64_t c = g->cell_of[p];
+        const int64_t start = filled;
+        if (filled + g->seg_ptr[c + 1] - g->seg_ptr[c] > g->cap)
+            return -1;
+        for (int64_t e = g->seg_ptr[c]; e < g->seg_ptr[c + 1]; e++) {
+            const int64_t q = g->cand[e];
+            const int keep = g->is_auto[e] |
+                             within(metric, dim, radius, x, g->points + q * dim);
+            out[filled] = (int32_t)q;
+            filled += keep & (q != p);
+        }
+        g->degrees[p] = filled - start;
+    }
+    return filled;
+}
+
+int64_t grid_emit_rows(const GridRows *g, int64_t lo, int64_t hi,
+                       int64_t filled)
+{
+    /* Planar points (the paper's numeric datasets) get their own copies. */
+    const int64_t dim = g->dim;
+    switch (g->metric) {
+    case METRIC_L2:
+        return dim == 2 ? emit_rows(g, lo, hi, filled, METRIC_L2, 2)
+                        : emit_rows(g, lo, hi, filled, METRIC_L2, dim);
+    case METRIC_L1:
+        return dim == 2 ? emit_rows(g, lo, hi, filled, METRIC_L1, 2)
+                        : emit_rows(g, lo, hi, filled, METRIC_L1, dim);
+    default:
+        return dim == 2 ? emit_rows(g, lo, hi, filled, METRIC_LINF, 2)
+                        : emit_rows(g, lo, hi, filled, METRIC_LINF, dim);
+    }
 }

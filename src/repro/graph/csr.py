@@ -27,10 +27,15 @@ Builders
     live adjacency's base (:mod:`repro.graph.incremental`), all
     assembled by :func:`_assemble_grid_csr`: a sorted candidate table
     per source cell, then rows expanded in ascending id order in
-    bounded batches of large array passes (``np.take``, one
-    row-aligned ``metric.paired`` per batch, ``np.compress``).  No
-    Python runs per cell or per row, and NumPy drops the GIL inside
-    those passes, so concurrent cold builds use every core.
+    bounded batches.  For the L2, L1 and L-infinity metrics each batch
+    is one call into the compiled kernel (:mod:`repro.core._kernel`),
+    which filters the candidates with the metric's ``paired``
+    arithmetic inline and writes the kept ids in place; other metrics,
+    or a process without a C compiler, run the same filter as large
+    array passes (``np.take``, one row-aligned ``metric.paired`` per
+    batch, ``np.compress``).  No Python runs per cell or per row, and
+    both the kernel call and those passes drop the GIL, so concurrent
+    cold builds use every core.
 :meth:`CSRNeighborhood.from_edges` / :meth:`from_rows`
     assemble a CSR from edge arrays or per-row neighbor lists; used by
     the KD-tree (``query_pairs``) index.
@@ -674,14 +679,26 @@ def _assemble_grid_csr(
 
     Object ``p``'s row is its cell's segment of the candidate table
     (:func:`_candidate_table`) filtered to the edges: auto entries are
-    kept outright, compute entries by one row-aligned
-    ``metric.paired`` test, and the self entry is dropped.  Rows are
-    expanded in ascending id order, in batches of candidate pairs sized
-    from :data:`DEFAULT_BLOCK_BYTES`, so each batch's
-    kept columns are the next slice of ``indices`` and its per-row
-    counts are the degrees: a handful of large array passes per batch,
-    with no per-cell Python and no placement scatter.
+    kept outright, compute entries by a ``<= radius`` distance test,
+    and the self entry is dropped.  Rows are expanded in ascending id
+    order, in batches of candidate pairs sized from
+    :data:`DEFAULT_BLOCK_BYTES` with a cancellation checkpoint between
+    batches, so each batch's kept columns are the next slice of
+    ``indices`` and its per-row counts are the degrees.
+
+    For the L2, L1 and L-infinity metrics each batch is one call into
+    the compiled kernel (:meth:`repro.core._kernel.Kernel.grid_rows`),
+    which tests the compute entries with the metric's ``paired``
+    arithmetic inline and writes kept ids straight into ``indices``,
+    without the GIL and without per-batch temporaries.  Other metrics,
+    and every metric when no compiler is available, run the same
+    filter as a handful of large NumPy passes per batch (``np.take``,
+    one row-aligned ``metric.paired``, ``np.compress``); both give
+    byte-identical arrays.
     """
+    # Imported here: repro.core imports this module.
+    from repro.core import _kernel
+
     n = plan.n
     cell_of = np.empty(n, dtype=np.int64)
     cell_of[plan.members] = np.repeat(np.arange(plan.m, dtype=np.int64), plan.sizes)
@@ -690,20 +707,30 @@ def _assemble_grid_csr(
     )
     row_len = np.diff(seg_ptr)[cell_of]
     cuts = _row_batches(row_len, plan.dim)
-    # An upper bound on nnz (every candidate an edge); the untouched
+    # An upper bound on nnz (every candidate an edge) plus the slot the
+    # kernel's branch-free write needs past the last edge; the untouched
     # tail is never paged in and is released by the final shrink.
     self_count = int(np.count_nonzero(self_off >= 0))
-    indices = np.empty(int(row_len.sum()) - self_count, dtype=np.int32)
+    indices = np.empty(int(row_len.sum()) - self_count + 1, dtype=np.int32)
     indptr = np.zeros(n + 1, dtype=np.int64)
     degrees = indptr[1:]
+    kernel = _kernel.load()
+    emit = None if kernel is None else kernel.grid_rows(
+        points, metric, radius, cell_of, seg_ptr, cand, auto, indices, degrees
+    )
     filled = 0
     token = current_token()
-    # np.take / np.compress rather than fancy and boolean indexing:
-    # several times faster on these flat gathers and compactions.
     for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         if token is not None:
             token.checkpoint()
         cells = cell_of[lo:hi]
+        if stats is not None:
+            stats.distance_computations += int(comp_len[cells].sum())
+        if emit is not None:
+            filled = emit(lo, hi, filled)
+            continue
+        # np.take / np.compress rather than fancy and boolean indexing:
+        # several times faster on these flat gathers and compactions.
         positions, lengths = _flat_row_positions(seg_ptr, cells)
         cols = np.take(cand, positions)
         keep = np.take(auto, positions)
@@ -714,8 +741,6 @@ def _assemble_grid_csr(
                 np.repeat(points[lo:hi], comp_len[cells], axis=0),
                 np.take(points, np.take(cols, compute), axis=0),
             ) <= radius
-            if stats is not None:
-                stats.distance_computations += compute.size
         own = self_off[lo:hi]
         starts = np.cumsum(lengths) - lengths
         keep[(starts + own)[own >= 0]] = False

@@ -100,6 +100,13 @@ class _Metric:
 class Counter(_Metric):
     kind = "counter"
 
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        if not self.labelnames:
+            # Renders ``name 0`` before the first increment, so a fault
+            # that never happened reads 0 rather than "no data".
+            self._samples[()] = 0.0
+
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         if amount < 0:
             raise ValueError("counters only go up")

@@ -4,10 +4,12 @@ The grid builders (flat :func:`~repro.graph.csr.build_csr_grid`, the
 blocked :func:`~repro.graph.blocked.build_blocked_grid` and the base of
 :class:`~repro.graph.incremental.IncrementalNeighborhood`) share one
 batched assembly that expands the cell-pair candidate table in
-ascending id order.  Hypothesis drives them over every Minkowski-family
-metric, dims 1-3, explicit resolutions, duplicate points, lattice points
-at exact-radius ties and assembly batches down to a single candidate
-pair, and holds them byte-for-byte (dtypes included) to
+ascending id order, filtering each batch in the compiled kernel or, for
+other metrics and without a compiler, in NumPy passes.  Hypothesis drives
+them over every Minkowski-family metric, dims 1-4, explicit resolutions,
+duplicate points, lattice points at exact-radius ties and assembly
+batches down to a single candidate pair, once with the kernel and once
+without, and holds both byte-for-byte (dtypes included) to
 :func:`~repro.graph.csr.build_csr_pairwise`.
 """
 
@@ -22,6 +24,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.cancellation import CancellationToken, cancellation_scope
+from repro.core import _kernel
 from repro.datasets import clustered_dataset
 from repro.distance import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 from repro.distance.metrics import Metric, MinkowskiMetric
@@ -56,7 +60,7 @@ class _HalfL1(Metric):
 @st.composite
 def grid_cases(draw):
     """(points, metric, radius, resolution, block_bytes)."""
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 4))
     n = draw(st.integers(1, 40))
     if draw(st.booleans()):
         # Lattice points with a power-of-two step: many pairs sit at
@@ -108,17 +112,30 @@ def assert_same_rows(blocked, want):
         assert np.array_equal(row, want.neighbors(i)), i
 
 
-class TestGridBuildersMatchPairwise:
-    @given(case=grid_cases())
-    @settings(**COMMON)
-    def test_flat_blocked_and_incremental_base(self, case):
-        points, metric, radius, resolution, block_bytes = case
-        want = build_csr_pairwise(points, metric, radius)
-        with mock.patch.object(csr_mod, "DEFAULT_BLOCK_BYTES", block_bytes):
-            flat_stats, blocked_stats = IndexStats(), IndexStats()
+class _CountingToken(CancellationToken):
+    """A token that never cancels and counts its checkpoints."""
+
+    __slots__ = ("checks",)
+
+    def __init__(self):
+        super().__init__()
+        self.checks = 0
+
+    def checkpoint(self):
+        self.checks += 1
+
+
+def _grid_builds(points, metric, radius, resolution, block_bytes):
+    """Every grid builder on one case, with its distance computations
+    and cancellation checkpoints."""
+    flat_stats, blocked_stats = IndexStats(), IndexStats()
+    tokens = [_CountingToken() for _ in range(4)]
+    with mock.patch.object(csr_mod, "DEFAULT_BLOCK_BYTES", block_bytes):
+        with cancellation_scope(tokens[0]):
             flat = build_csr_grid(
                 points, metric, radius, stats=flat_stats, resolution=resolution
             )
+        with cancellation_scope(tokens[1]):
             blocked = build_blocked_grid(
                 points,
                 metric,
@@ -127,19 +144,44 @@ class TestGridBuildersMatchPairwise:
                 resolution=resolution,
                 min_block_pairs=1,
             )
+        with cancellation_scope(tokens[2]):
             live = IncrementalNeighborhood(points, metric, radius)
-            # The same points, the second half appended: one grid query
-            # in pair batches of the patched size.
-            half = points.shape[0] // 2
+        # The same points, the second half appended: one grid query in
+        # pair batches of the patched size.
+        half = points.shape[0] // 2
+        with cancellation_scope(tokens[3]):
             grown = IncrementalNeighborhood(points[:half], metric, radius)
             grown.append(points, points.shape[0] - half)
-        assert_same_csr(flat, want)
-        assert_same_rows(blocked, want)
-        # Dense blocks only ever replace auto pairs, which compute
-        # nothing: both builds charge the same distance evaluations.
-        assert blocked_stats.distance_computations == flat_stats.distance_computations
-        assert_same_csr(live.snapshot_csr(np.ones(live.n, dtype=bool)), want)
-        assert_same_csr(grown.snapshot_csr(np.ones(grown.n, dtype=bool)), want)
+    counts = (
+        flat_stats.distance_computations,
+        blocked_stats.distance_computations,
+        [token.checks for token in tokens],
+    )
+    return flat, blocked, live, grown, counts
+
+
+class TestGridBuildersMatchPairwise:
+    @given(case=grid_cases())
+    @settings(**COMMON)
+    def test_flat_blocked_and_incremental_base(self, case):
+        points, metric, radius, resolution, block_bytes = case
+        want = build_csr_pairwise(points, metric, radius)
+        assert _kernel.load() is not None
+        compiled = _grid_builds(points, metric, radius, resolution, block_bytes)
+        with mock.patch.multiple(_kernel, _kernel=None, _loaded=True):
+            assert _kernel.load() is None
+            fallback = _grid_builds(points, metric, radius, resolution, block_bytes)
+        for flat, blocked, live, grown, counts in (compiled, fallback):
+            assert_same_csr(flat, want)
+            assert_same_rows(blocked, want)
+            # Dense blocks only ever replace auto pairs, which compute
+            # nothing: both builds charge the same distance evaluations.
+            flat_computed, blocked_computed, _ = counts
+            assert blocked_computed == flat_computed
+            assert_same_csr(live.snapshot_csr(np.ones(live.n, dtype=bool)), want)
+            assert_same_csr(grown.snapshot_csr(np.ones(grown.n, dtype=bool)), want)
+        # Same charged distances and same batch cuts on both paths.
+        assert compiled[4] == fallback[4]
 
 
 class TestPairedMatchesPairwise:

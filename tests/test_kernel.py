@@ -1,4 +1,5 @@
-"""The compiled selection kernel's loader: cache, concurrency, fallback.
+"""The compiled kernel's loader (cache, concurrency, fallback) and its
+grid-build entry point (metric coverage, bounds, memory).
 
 The kernel is built on first use into ``$XDG_CACHE_HOME/repro/``; each
 test that builds points that variable at its own empty directory, so
@@ -14,15 +15,19 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.core import _kernel, greedy_c, greedy_disc, zoom_in, zoom_out
 from repro.datasets import clustered_dataset
-from repro.distance import EUCLIDEAN
+from repro.distance import CHEBYSHEV, EUCLIDEAN, MANHATTAN
+from repro.distance.metrics import EuclideanMetric, MinkowskiMetric
+from repro.graph import csr as csr_mod
 from repro.index import GridIndex
 from repro.live.repair import repair_selection
 
@@ -167,3 +172,69 @@ def test_kernel_rejects_mismatched_arrays():
     with pytest.raises(ValueError):
         next(kernel.run(csr, codes[:-1], np.zeros(csr.n, dtype=np.int64),
                         _kernel.MODE_COVER, pool=csr.n, batch=8))
+
+
+def _grid_emitter(points, metric, radius, capacity=None):
+    """A kernel row emitter over ``points``' grid plan, and its arrays."""
+    plan = csr_mod._plan_grid(points, metric, radius, None)
+    cell_of = np.empty(plan.n, dtype=np.int64)
+    cell_of[plan.members] = np.repeat(np.arange(plan.m, dtype=np.int64), plan.sizes)
+    cand, auto, seg_ptr, _, _ = csr_mod._candidate_table(plan, cell_of, None)
+    if capacity is None:
+        capacity = int(np.diff(seg_ptr)[cell_of].sum()) + 1
+    indices = np.zeros(capacity, dtype=np.int32)
+    degrees = np.zeros(plan.n, dtype=np.int64)
+    emit = _kernel.load().grid_rows(
+        points, metric, radius, cell_of, seg_ptr, cand, auto, indices, degrees
+    )
+    return emit, indices, degrees
+
+
+class _SubclassedL2(EuclideanMetric):
+    """May override ``paired``: the kernel must not assume it did not."""
+
+
+def test_grid_rows_inline_metrics_only():
+    points = clustered_dataset(n=300, seed=2).points
+    for metric in (EUCLIDEAN, MANHATTAN, CHEBYSHEV):
+        emit, indices, degrees = _grid_emitter(points, metric, 0.05)
+        filled = emit(0, points.shape[0], 0)
+        want = csr_mod.build_csr_pairwise(points, metric, 0.05)
+        assert np.array_equal(degrees, want.degrees)
+        assert np.array_equal(indices[:filled], want.indices)
+    for metric in (MinkowskiMetric(3), _SubclassedL2()):
+        emit, _, _ = _grid_emitter(points, metric, 0.05)
+        assert emit is None
+
+
+def test_grid_rows_refuse_to_overflow():
+    points = clustered_dataset(n=300, seed=2).points
+    emit, indices, _ = _grid_emitter(points, EUCLIDEAN, 0.05, capacity=4)
+    with pytest.raises(ValueError, match="overflow"):
+        emit(0, points.shape[0], 0)
+    with pytest.raises(ValueError):
+        emit(0, points.shape[0] + 1, 0)
+    with pytest.raises(ValueError):
+        emit(0, 1, -1)
+
+
+@pytest.mark.parametrize("radius", [0.05, 0.05 * 2 ** 0.5])
+def test_kernel_grid_build_peaks_below_the_numpy_path(radius):
+    """The kernel writes kept ids straight into the one ``indices``
+    buffer; the NumPy passes add per-batch gathers and distances on top
+    (clustered n=10k, the cold-zoom radii)."""
+    points = clustered_dataset(n=10000).points
+    assert _kernel.load() is not None
+
+    def peak():
+        tracemalloc.start()
+        try:
+            csr_mod.build_csr_grid(points, EUCLIDEAN, radius)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    compiled = peak()
+    with mock.patch.multiple(_kernel, _kernel=None, _loaded=True):
+        fallback = peak()
+    assert compiled < fallback

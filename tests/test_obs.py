@@ -165,6 +165,15 @@ class TestMetrics:
         with pytest.raises(ValueError):
             c.inc(-1, kind="a")
 
+    def test_unlabelled_counter_renders_zero_before_first_inc(self):
+        reg = obs_metrics.MetricsRegistry()
+        reg.counter("repro_quiet_total", "never incremented")
+        reg.counter("repro_split_total", "labelled", labelnames=("kind",))
+        lines = reg.render().splitlines()
+        assert "repro_quiet_total 0" in lines
+        # A labelled family has no label set to seed: no sample line.
+        assert not [line for line in lines if line.startswith("repro_split_total")]
+
     def test_name_and_label_validation(self):
         reg = obs_metrics.MetricsRegistry()
         for bad in ("things_total", "repro_Things", "repro_", "repro_x-y"):
@@ -626,6 +635,10 @@ class TestSupervisedTracing:
             # The front merges worker snapshots: worker-side selection
             # counters surface in the front's exposition.
             assert "repro_http_requests_total" in body
+            # Fault counters that never fired still export a 0 sample.
+            lines = body.splitlines()
+            assert "repro_request_replays_total 0" in lines
+            assert "repro_worker_stall_kills_total 0" in lines
         finally:
             cluster.stop()
 
