@@ -455,13 +455,13 @@ def _finish_blocked(
     side_partner = np.empty(side_cell.size, dtype=np.int64)
     side_partner[first] = first + cross
     side_partner[second] = second - 1
-    positions, lengths = _flat_row_positions(plan.member_ptr, side_cell)
+    positions, lengths = _flat_row_positions(plan.cells.ptr, side_cell)
     side_ptr = np.zeros(side_cell.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=side_ptr[1:])
     return BlockedNeighborhood(
         csr,
         side_ptr,
-        plan.members[positions].astype(np.int32),
+        plan.cells.members[positions].astype(np.int32),
         side_partner,
         np.repeat(clique, side_count),
     )

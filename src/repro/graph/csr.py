@@ -22,7 +22,10 @@ Builders
     every metric and the default for :class:`BruteForceIndex`.
 :func:`build_csr_grid`
     grid binning with analytic cell-pair bounds (skip / auto / compute)
-    for the Minkowski family.  One plan (:func:`_plan_grid`) feeds this
+    for the Minkowski family.  Points are binned through
+    :class:`CellDirectory`, the one cell index of the grid code (the
+    live adjacency's queries and ``GridIndex`` use it too).  One plan
+    (:func:`_plan_grid`) feeds this
     flat build, the blocked build (:mod:`repro.graph.blocked`) and the
     live adjacency's base (:mod:`repro.graph.incremental`), all
     assembled by :func:`_assemble_grid_csr`: a sorted candidate table
@@ -56,9 +59,9 @@ from repro.validation import validate_radius
 
 __all__ = [
     "CSRNeighborhood",
+    "CellDirectory",
     "build_csr_pairwise",
     "build_csr_grid",
-    "group_points_by_cell",
     "pairwise_row_chunk",
 ]
 
@@ -365,32 +368,90 @@ def build_csr_pairwise(
     return CSRNeighborhood.from_edges(rows, cols, n, cols_sorted_within_rows=True)
 
 
-def _cell_members(keys: np.ndarray):
-    """Row indices grouped by identical integer cell keys, flat.
+class CellDirectory:
+    """Row indices grouped by integer cell key: the grid code's one cell
+    index, shared by the grid builds, the live adjacency's queries and
+    :class:`~repro.index.grid.GridIndex`.
 
-    Returns ``(members, ptr)``: cell ``c`` holds ``members[ptr[c]:
-    ptr[c+1]]``, cells in lexicographic key order and the stable sort
-    keeps row ids ascending within each cell.
+    Built from the ``(n, d)`` integer cell keys of ``n >= 1`` rows:
+    occupied cell ``c`` — cells in lexicographic key order — has key
+    ``keys[c]`` and holds the rows ``members[ptr[c]:ptr[c+1]]``,
+    ascending.  Each key fuses into one int64 (its offset in the keys'
+    bounding box, axis by axis, so fused order is lex order) and one
+    stable argsort groups them; :meth:`find` joins query keys with one
+    ``searchsorted`` and :meth:`rows_in_box` collects a query box's rows
+    without visiting its empty cells.  A box too wide to fuse ranks
+    whole key rows with ``np.unique`` instead.
     """
-    keys = np.asarray(keys)
-    members = np.lexsort(keys.T[::-1])
-    sorted_keys = keys[members]
-    boundaries = (
-        np.nonzero(np.any(np.diff(sorted_keys, axis=0) != 0, axis=1))[0] + 1
-    )
-    ptr = np.concatenate(([0], boundaries, [members.size])).astype(np.int64)
-    return members, ptr
 
+    __slots__ = ("members", "ptr", "keys", "_lo", "_spans", "_codes")
 
-def group_points_by_cell(keys: np.ndarray) -> List[np.ndarray]:
-    """Group row indices by identical integer cell keys.
+    def __init__(self, keys: np.ndarray):
+        keys = np.asarray(keys, dtype=np.int64)
+        self._lo = keys.min(axis=0)
+        spans = keys.max(axis=0) - self._lo + 1
+        # Codes use one spare digit per axis (see _fuse).
+        if np.log2(spans + 1.0).sum() > 62:
+            self._spans = None
+            codes = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+        else:
+            self._spans = spans.tolist()
+            codes = self._fuse(keys)
+        self.members = np.argsort(codes, kind="stable")
+        codes = codes[self.members]
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(codes)) + 1))
+        self.ptr = np.append(starts, codes.size)
+        self._codes = codes[starts]
+        self.keys = keys[self.members[starts]]
 
-    One index array per occupied cell (the split form of
-    :func:`_cell_members`); used by :class:`~repro.index.grid.
-    GridIndex`'s batch queries and the live adjacency's cell directory.
-    """
-    members, ptr = _cell_members(keys)
-    return np.split(members, ptr[1:-1])
+    def _fuse(self, keys: np.ndarray) -> np.ndarray:
+        """Mixed-radix codes, one digit per axis: a key's offset in the
+        bounding box, so code order is lex order.  Each axis has a spare
+        top digit ``span`` that every out-of-box offset clamps to (the
+        unsigned view wraps negative ones high); no occupied cell has
+        it, so a key outside the box never aliases one."""
+        out = np.zeros(keys.shape[:-1], dtype=np.int64)
+        for j, span in enumerate(self._spans):  # repro-lint: disable=checkpoint-in-hot-loop -- loops over key dimensionality, not data
+            digit = keys[..., j] - self._lo[j]
+            unsigned = digit.view(np.uint64)
+            np.minimum(unsigned, span, out=unsigned)
+            out *= span + 1
+            out += digit
+        return out
+
+    def find(self, queries: np.ndarray) -> np.ndarray:
+        """The cell of each query key (shape ``queries.shape[:-1]``),
+        -1 where no occupied cell has it, keys outside the bounding box
+        included."""
+        queries = np.asarray(queries, dtype=np.int64)
+        if self._spans is None:
+            flat = queries.reshape(-1, queries.shape[-1])
+            ranks = np.unique(
+                np.concatenate((self.keys, flat)), axis=0, return_inverse=True
+            )[1].reshape(-1)
+            codes, target = ranks[: self.keys.shape[0]], ranks[self.keys.shape[0] :]
+            target = target.reshape(queries.shape[:-1])
+        else:
+            codes, target = self._codes, self._fuse(queries)
+        pos = np.minimum(np.searchsorted(codes, target), codes.size - 1)
+        return np.where(codes[pos] == target, pos, -1)
+
+    def rows_in_box(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+        """The rows of the occupied cells whose keys lie in ``[low,
+        high]``: cells in key order, rows ascending within each.  Lex
+        order keeps each first-axis slab of cells contiguous, so the
+        cost is that slab's occupied cells, however many empty cells
+        the box spans."""
+        start, stop = self.keys[:, 0].searchsorted((low[0], high[0] + 1))
+        ptr = self.ptr[start : max(start, stop) + 1]  # an inverted box is empty
+        rows = self.members[ptr[0] : ptr[-1]]
+        if self.keys.shape[1] == 1:
+            return rows
+        slab = self.keys[start:stop]
+        inside = (slab[:, 1] >= low[1]) & (slab[:, 1] <= high[1])
+        for j in range(2, self.keys.shape[1]):  # repro-lint: disable=checkpoint-in-hot-loop -- loops over key dimensionality, not data
+            inside &= (slab[:, j] >= low[j]) & (slab[:, j] <= high[j])
+        return rows[np.repeat(inside, np.diff(ptr))]
 
 
 #: Relative safety margin applied to the analytic cell-pair distance
@@ -458,61 +519,19 @@ def _classify_offsets(metric, radius: float, cell: float, dim: int, resolution: 
     return np.asarray(kept, dtype=np.int64), np.asarray(classes, dtype=np.int64)
 
 
-def _cell_finder(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """``(members, ptr, find)``: cell ``c`` holds the rows
-    ``members[ptr[c]:ptr[c+1]]`` of the integer ``keys`` (cells in lex
-    order), and ``find(queries)`` gives each query key's cell, -1 where
-    none.  Keys lie in the box ``[lo, hi]`` and fuse into one int64 each
-    (monotone in lex order), so one argsort groups and one
-    ``searchsorted`` finds; a box too large to fuse uses a dict."""
-    spans = (np.asarray(hi) - lo + 1).astype(np.int64)
-    if np.log2(spans.astype(float)).sum() > 62:  # pragma: no cover - extreme key ranges only
-        members, ptr = _cell_members(keys)
-        ukeys = keys[members[ptr[:-1]]].tolist()
-        lookup = {tuple(key): c for c, key in enumerate(ukeys)}
-
-        def find(queries: np.ndarray) -> np.ndarray:
-            flat = queries.reshape(-1, queries.shape[-1]).tolist()
-            cells = [lookup.get(tuple(key), -1) for key in flat]
-            return np.asarray(cells, dtype=np.int64).reshape(queries.shape[:-1])
-
-        return members, ptr, find
-
-    def fuse(keys: np.ndarray) -> np.ndarray:
-        out = np.zeros(keys.shape[:-1], dtype=np.int64)
-        for j in range(spans.size):  # repro-lint: disable=checkpoint-in-hot-loop -- loops over key dimensionality, not data
-            out = out * spans[j] + (keys[..., j] - lo[j])
-        return out
-
-    fused = fuse(keys)
-    members = np.argsort(fused)
-    fused = fused[members]
-    ptr = np.concatenate(([0], np.flatnonzero(np.diff(fused)) + 1, [fused.size]))
-    fused = fused[ptr[:-1]]
-
-    def find(queries: np.ndarray) -> np.ndarray:
-        target = fuse(queries)
-        pos = np.minimum(np.searchsorted(fused, target), fused.size - 1)
-        return np.where(fused[pos] == target, pos, -1)
-
-    return members, ptr, find
-
-
-def _cell_pair_table(ukeys: np.ndarray, offsets: np.ndarray, classes: np.ndarray):
+def _cell_pair_table(cells: CellDirectory, offsets: np.ndarray, classes: np.ndarray):
     """All occupied (source cell, neighbor cell) pairs per kept offset.
 
     Returns ``(src, dst, cls)`` parallel arrays of cell indices sorted
     by source cell; each offset resolves through one
-    :func:`_cell_finder` lookup over every cell.
+    :meth:`CellDirectory.find` over every cell (keys pushed out of the
+    box find nothing).
     """
-    reach = int(np.abs(offsets).max()) if offsets.size else 0
-    lo, hi = ukeys.min(axis=0) - reach, ukeys.max(axis=0) + reach
-    _, _, find = _cell_finder(ukeys, lo, hi)
     src_acc: List[np.ndarray] = []
     dst_acc: List[np.ndarray] = []
     cls_acc: List[np.ndarray] = []
     for off, cls in zip(offsets, classes):
-        dst = find(ukeys + off)
+        dst = cells.find(cells.keys + off)
         src = np.flatnonzero(dst >= 0)
         src_acc.append(src)
         dst_acc.append(dst[src])
@@ -532,18 +551,15 @@ class _GridPlan:
     and the cell-pair classification; both the flat CSR builder and the
     blocked builder (:mod:`repro.graph.blocked`) consume one plan, so
     their notion of "provably dense cell pair" is identical by
-    construction.  Cells are stored flat: cell ``c`` holds the ids
-    ``members[member_ptr[c]:member_ptr[c+1]]`` (ascending) and has the
-    integer key ``ukeys[c]``.
+    construction.  ``cells`` is the binning: cell ``c`` holds the ids
+    ``cells.members[cells.ptr[c]:cells.ptr[c+1]]`` (ascending).
     """
 
     n: int
     dim: int
     cell: float
     resolution: int
-    members: np.ndarray
-    member_ptr: np.ndarray
-    ukeys: np.ndarray
+    cells: CellDirectory
     pair_src: np.ndarray
     pair_dst: np.ndarray
     pair_cls: np.ndarray
@@ -551,12 +567,12 @@ class _GridPlan:
     @property
     def m(self) -> int:
         """Occupied cell count."""
-        return self.member_ptr.shape[0] - 1
+        return self.cells.ptr.shape[0] - 1
 
     @property
     def sizes(self) -> np.ndarray:
         """Member count of every occupied cell."""
-        return np.diff(self.member_ptr)
+        return np.diff(self.cells.ptr)
 
     def pair_products(self) -> np.ndarray:
         """Candidate-pair count of every directed cell pair (self pairs
@@ -579,24 +595,20 @@ def _plan_grid(
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     cell = float(radius) / resolution if radius > 0 else 1.0
     origin = points.min(axis=0)
-    keys = np.floor((points - origin) / cell).astype(np.int64)
-    members, member_ptr = _cell_members(keys)
-    if resolution > 1 and member_ptr.size - 1 > n // 4:
+    cells = CellDirectory(np.floor((points - origin) / cell).astype(np.int64))
+    if resolution > 1 and cells.ptr.size - 1 > n // 4:
         # Sparse occupancy: mostly-singleton cells mean the auto class
         # almost never fires while the finer grid multiplies the cell
         # pairs; fall back to radius-sized cells.
         resolution = 1
         cell = float(radius) if radius > 0 else 1.0
-        keys = np.floor((points - origin) / cell).astype(np.int64)
-        members, member_ptr = _cell_members(keys)
+        cells = CellDirectory(np.floor((points - origin) / cell).astype(np.int64))
 
-    ukeys = keys[members[member_ptr[:-1]]]
     offsets, classes = _classify_offsets(metric, radius, cell, dim, resolution)
-    pair_src, pair_dst, pair_cls = _cell_pair_table(ukeys, offsets, classes)
+    pair_src, pair_dst, pair_cls = _cell_pair_table(cells, offsets, classes)
     return _GridPlan(
-        n=n, dim=dim, cell=cell, resolution=resolution, members=members,
-        member_ptr=member_ptr, ukeys=ukeys, pair_src=pair_src,
-        pair_dst=pair_dst, pair_cls=pair_cls,
+        n=n, dim=dim, cell=cell, resolution=resolution, cells=cells,
+        pair_src=pair_src, pair_dst=pair_dst, pair_cls=pair_cls,
     )
 
 
@@ -642,9 +654,9 @@ def _candidate_table(plan: _GridPlan, cell_of: np.ndarray, pair_keep):
     if pair_keep is not None:
         src, dst, cls = src[pair_keep], dst[pair_keep], cls[pair_keep]
     is_compute = cls != _PAIR_AUTO
-    positions, lengths = _flat_row_positions(plan.member_ptr, dst)
+    positions, lengths = _flat_row_positions(plan.cells.ptr, dst)
     key = np.repeat(src * (2 * n) + is_compute, lengths)
-    key += 2 * plan.members[positions]
+    key += 2 * plan.cells.members[positions]
     del positions
     key.sort()
     auto = (key & 1) == 0
@@ -701,7 +713,7 @@ def _assemble_grid_csr(
 
     n = plan.n
     cell_of = np.empty(n, dtype=np.int64)
-    cell_of[plan.members] = np.repeat(np.arange(plan.m, dtype=np.int64), plan.sizes)
+    cell_of[plan.cells.members] = np.repeat(np.arange(plan.m, dtype=np.int64), plan.sizes)
     cand, auto, seg_ptr, comp_len, self_off = _candidate_table(
         plan, cell_of, pair_keep
     )

@@ -66,8 +66,8 @@ import numpy as np
 from repro.cancellation import current_token
 from repro.graph.csr import (
     CSRNeighborhood,
+    CellDirectory,
     _assemble_grid_csr,
-    _cell_finder,
     _classify_offsets,
     _flat_row_positions,
     _PAIR_AUTO,
@@ -190,9 +190,10 @@ class IncrementalNeighborhood:
         if candidates.size == 0:
             return indptr, np.empty(0, dtype=np.int32)
         keys = np.take(self._keys, candidates, axis=0)
-        members, member_ptr, find = _cell_finder(keys, lo, hi)
-        members = candidates[members]
-        cells = find(query[:, None, :] + self._offsets)
+        directory = CellDirectory(keys)
+        members = candidates[directory.members]
+        member_ptr = directory.ptr
+        cells = directory.find(query[:, None, :] + self._offsets)
         hit_rows, hit_offsets = np.nonzero(cells >= 0)
         cells = cells[hit_rows, hit_offsets]
         auto = self._classes[hit_offsets] == _PAIR_AUTO

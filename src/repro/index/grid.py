@@ -1,11 +1,14 @@
 """Uniform-grid neighbor index for Minkowski-type metrics.
 
-A middle ground between the brute-force oracle and the M-tree: points in
-``[0, 1]^d`` are bucketed into a uniform grid of cells, and a range query
-scans only the cells intersecting the query ball's bounding box.  For the
-low-dimensional numeric datasets of the paper this is very fast, which
-makes it the default engine for *solution-size* experiments (Table 3)
-where node accesses are not being measured.
+A middle ground between the brute-force oracle and the M-tree: points
+are binned into a uniform grid of cells held in one sorted
+:class:`~repro.graph.csr.CellDirectory` (the same cell index the grid
+adjacency builds use), and a range query scans only the occupied cells
+whose keys fall in the query ball's bounding box — never the empty ones,
+however fine the cells.  For the low-dimensional numeric datasets of the
+paper this is very fast, which makes it the default engine for
+*solution-size* experiments (Table 3) where node accesses are not being
+measured.
 
 Not applicable to the Hamming metric (category codes are not coordinates
 in a box); constructing a :class:`GridIndex` with it raises.
@@ -13,16 +16,14 @@ in a box); constructing a :class:`GridIndex` with it raises.
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.distance import HammingMetric
 from repro.engines.registry import EngineCapabilities, register_engine
 from repro.graph.blocked import build_grid_auto
-from repro.graph.csr import build_csr_pairwise, group_points_by_cell
+from repro.graph.csr import CellDirectory, build_csr_pairwise
 from repro.index.base import NeighborIndex
 
 __all__ = ["GridIndex"]
@@ -45,80 +46,45 @@ class GridIndex(NeighborIndex):
     Parameters
     ----------
     cell_size:
-        Edge length of each grid cell.  Pick roughly the query radius:
-        smaller cells mean more cells to enumerate, larger cells mean
-        more candidates per cell.
+        Edge length of each grid cell (positive and finite).  Pick
+        roughly the query radius: smaller cells mean more occupied cells
+        per query box, larger cells mean more candidates per cell.
     """
 
     def __init__(self, points: np.ndarray, metric, cell_size: float = 0.05):
         super().__init__(points, metric)
         if isinstance(self.metric, HammingMetric):
             raise TypeError("GridIndex requires coordinate geometry; Hamming is not supported")
-        if cell_size <= 0:
-            raise ValueError(f"cell_size must be positive, got {cell_size}")
+        if not (np.isfinite(cell_size) and cell_size > 0):
+            raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
         self.cell_size = float(cell_size)
         self._origin = self.points.min(axis=0)
-        self._cells: Dict[Tuple[int, ...], List[int]] = defaultdict(list)
-        keys = np.floor((self.points - self._origin) / self.cell_size).astype(int)
-        for object_id, key in enumerate(keys):
-            self._cells[tuple(key)].append(object_id)
-        self._keys = keys
+        self._cells = CellDirectory(self._key(self.points))
 
-    def _cells_in_range(self, point: np.ndarray, radius: float):
-        low = np.floor((point - radius - self._origin) / self.cell_size).astype(int)
-        high = np.floor((point + radius - self._origin) / self.cell_size).astype(int)
-        ranges = [range(int(lo), int(hi) + 1) for lo, hi in zip(low, high)]
-        return itertools.product(*ranges)
+    def _key(self, coords: np.ndarray) -> np.ndarray:
+        return np.floor((coords - self._origin) / self.cell_size).astype(np.int64)
+
+    def _members_in(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+        """Ids in the occupied cells between the cells of the corners
+        ``low`` and ``high``: cells in key order, ids ascending in each."""
+        low_key, high_key = self._key(np.stack((low, high)))
+        return self._cells.rows_in_box(low_key, high_key)
 
     def range_query_point(self, point: np.ndarray, radius: float) -> List[int]:
         self.stats.range_queries += 1
         point = np.asarray(point, dtype=float)
-        candidates: List[int] = []
-        for key in self._cells_in_range(point, radius):
-            bucket = self._cells.get(key)
-            if bucket:
-                candidates.extend(bucket)
-        if not candidates:
+        candidates = self._members_in(point - radius, point + radius)
+        if not candidates.size:
             return []
-        candidate_ids = np.asarray(candidates, dtype=int)
-        distances = self.metric.to_point(self.points[candidate_ids], point)
-        self.stats.distance_computations += len(candidate_ids)
-        return [int(i) for i in candidate_ids[distances <= radius]]
-
-    # ------------------------------------------------------------------
-    # Cell-blocked batch machinery for range_query_batch: all query
-    # points in one cell see the same candidate cells, so one pairwise
-    # block serves the whole cell.
-    # ------------------------------------------------------------------
-    def _cell_candidates(self, key: Tuple[int, ...], radius: float) -> np.ndarray:
-        """Candidate ids for any query point falling in cell ``key``."""
-        key_arr = np.asarray(key)
-        low = self._origin + key_arr * self.cell_size
-        high = low + self.cell_size
-        lo_key = np.floor((low - radius - self._origin) / self.cell_size).astype(int)
-        hi_key = np.floor((high + radius - self._origin) / self.cell_size).astype(int)
-        candidates: List[int] = []
-        for neighbor_key in itertools.product(
-            *[range(int(lo), int(hi) + 1) for lo, hi in zip(lo_key, hi_key)]
-        ):
-            bucket = self._cells.get(neighbor_key)
-            if bucket:
-                candidates.extend(bucket)
-        return np.sort(np.asarray(candidates, dtype=np.int64))
-
-    def _cell_blocks(self, query_ids: np.ndarray, radius: float):
-        """Yield ``(ids, candidates, distance_block)`` per occupied cell."""
-        for positions in group_points_by_cell(self._keys[query_ids]):
-            group = query_ids[positions]
-            candidates = self._cell_candidates(tuple(self._keys[group[0]]), radius)
-            block = self.metric.pairwise(self.points[group], self.points[candidates])
-            self.stats.distance_computations += block.size
-            yield group, candidates, block
+        distances = self.metric.to_point(self.points[candidates], point)
+        self.stats.distance_computations += candidates.size
+        return candidates[distances <= radius].tolist()
 
     def range_query_batch(
         self, ids: Sequence[int], radius: float, *, include_self: bool = False
     ) -> List[np.ndarray]:
-        """Vectorised multi-center queries, one pairwise block per cell."""
+        """Vectorised multi-center queries, one pairwise block per cell:
+        every center in a cell sees the same candidate cells."""
         ids = np.asarray(ids, dtype=np.int64)
         radius = float(radius)
         self.stats.range_queries += ids.size
@@ -128,10 +94,18 @@ class GridIndex(NeighborIndex):
             for i in ids:
                 results[int(i)] = csr.neighbors(i).astype(np.int64)
         elif ids.size:
-            for group, candidates, block in self._cell_blocks(ids, radius):
+            groups = CellDirectory(self._key(self.points[ids]))
+            for c, key in enumerate(groups.keys):
+                group = ids[groups.members[groups.ptr[c] : groups.ptr[c + 1]]]
+                low = self._origin + key * self.cell_size
+                candidates = np.sort(
+                    self._members_in(low - radius, low + self.cell_size + radius)
+                )
+                block = self.metric.pairwise(self.points[group], self.points[candidates])
+                self.stats.distance_computations += block.size
                 for local, center in enumerate(group):
                     hits = candidates[block[local] <= radius]
-                    results[int(center)] = np.sort(hits[hits != center])
+                    results[int(center)] = hits[hits != center]
         out = []
         for i in ids:
             neighbors = results[int(i)]

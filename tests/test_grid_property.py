@@ -11,6 +11,13 @@ duplicate points, lattice points at exact-radius ties and assembly
 batches down to a single candidate pair, once with the kernel and once
 without, and holds both byte-for-byte (dtypes included) to
 :func:`~repro.graph.csr.build_csr_pairwise`.
+
+The cell directory under all of them
+(:class:`~repro.graph.csr.CellDirectory`) is held to a lexsort grouping
+and a dict lookup, in fused and too-wide-to-fuse boxes, and the per-query
+paths of :class:`~repro.index.grid.GridIndex` that read it directly
+(``range_query_point``, ``range_query`` and the no-CSR
+``range_query_batch``) to :class:`~repro.index.bruteforce.BruteForceIndex`.
 """
 
 from __future__ import annotations
@@ -31,8 +38,9 @@ from repro.distance import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 from repro.distance.metrics import Metric, MinkowskiMetric
 from repro.graph import csr as csr_mod
 from repro.graph.blocked import build_blocked_grid
-from repro.graph.csr import build_csr_grid, build_csr_pairwise
+from repro.graph.csr import CellDirectory, build_csr_grid, build_csr_pairwise
 from repro.graph.incremental import IncrementalNeighborhood
+from repro.index import BruteForceIndex, GridIndex
 from repro.index.base import IndexStats
 
 COMMON = dict(
@@ -182,6 +190,102 @@ class TestGridBuildersMatchPairwise:
             assert_same_csr(grown.snapshot_csr(np.ones(grown.n, dtype=bool)), want)
         # Same charged distances and same batch cuts on both paths.
         assert compiled[4] == fallback[4]
+
+
+class TestCellDirectory:
+    @given(
+        keys=arrays(
+            np.int64,
+            st.tuples(st.integers(1, 40), st.integers(1, 3)),
+            elements=st.integers(-3, 3),
+        ),
+        wide=st.booleans(),
+    )
+    @settings(**COMMON)
+    def test_groups_like_lexsort_and_finds_like_a_dict(self, keys, wide):
+        if wide:
+            # A key 3 * 2**61 cells out widens the box past one int64.
+            keys = np.concatenate([keys, np.full((1, keys.shape[1]), 3 * 2**61)])
+        cells = CellDirectory(keys)
+        order = np.lexsort(keys.T[::-1])
+        assert np.array_equal(cells.members, order)
+        ukeys, sizes = np.unique(keys, axis=0, return_counts=True)
+        assert np.array_equal(cells.keys, ukeys)
+        assert np.array_equal(np.diff(cells.ptr), sizes)
+        lookup = {tuple(key): c for c, key in enumerate(ukeys.tolist())}
+        # Queries reach two keys past the small keys' box on every side:
+        # those must find nothing rather than alias an occupied cell.
+        span = np.arange(-5, 6)
+        queries = np.stack(
+            np.meshgrid(*([span] * keys.shape[1]), indexing="ij"), axis=-1
+        )
+        want = [lookup.get(tuple(q), -1) for q in queries.reshape(-1, keys.shape[1])]
+        assert cells.find(queries).reshape(-1).tolist() == want
+
+
+@st.composite
+def grid_index_cases(draw):
+    """(points, metric, radius, cell_size, free query points)."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        # Lattice points: many pairs sit at exactly the radius.
+        step = draw(st.sampled_from([0.125, 0.25]))
+        ints = draw(arrays(np.int64, (n, dim), elements=st.integers(0, 6)))
+        points = ints * step
+        radius = step * draw(st.sampled_from([0, 1, 2, 3]))
+    else:
+        points = draw(
+            arrays(
+                np.float64,
+                (n, dim),
+                elements=st.floats(0.0, 1.0, allow_nan=False, width=32),
+            )
+        )
+        radius = draw(st.sampled_from([0.0, draw(st.floats(0.01, 0.8))]))
+    duplicates = draw(st.integers(0, n))
+    points = np.concatenate([points, points[:duplicates]])
+    metric = draw(st.sampled_from([EUCLIDEAN, MANHATTAN, CHEBYSHEV]))
+    cell_size = (radius or 0.1) * draw(st.floats(1 / 50, 10))
+    free = draw(
+        arrays(
+            np.float64,
+            (draw(st.integers(0, 4)), dim),
+            elements=st.floats(-1.5, 2.5, allow_nan=False, width=32),
+        )
+    )
+    # Below the data's box on the first axis, above it on the others.
+    corner = points.max(axis=0) + 0.3
+    corner[0] = points.min(axis=0)[0] - 0.3
+    queries = np.concatenate([free, corner[None, :], points[:3]])
+    return points, metric, float(radius), float(cell_size), queries
+
+
+class TestGridIndexMatchesBruteForce:
+    @given(case=grid_index_cases())
+    @settings(**COMMON)
+    def test_per_query_paths(self, case):
+        points, metric, radius, cell_size, queries = case
+        grid = GridIndex(points, metric, cell_size=cell_size)
+        grid.accelerate = False
+        brute = BruteForceIndex(points, metric, accelerate=False)
+        for query in queries:
+            got = grid.range_query_point(query, radius)
+            assert sorted(got) == brute.range_query_point(query, radius)
+        for i in range(points.shape[0]):
+            assert sorted(grid.range_query(i, radius)) == brute.range_query(i, radius)
+        ids = np.arange(points.shape[0])[::-1]
+        got = grid.range_query_batch(ids, radius)
+        want = brute.range_query_batch(ids, radius)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
+        # With the center included its position is unspecified.
+        got = grid.range_query_batch(ids, radius, include_self=True)
+        want = brute.range_query_batch(ids, radius, include_self=True)
+        for g, w in zip(got, want):
+            assert np.array_equal(np.sort(g), np.sort(w))
 
 
 class TestPairedMatchesPairwise:

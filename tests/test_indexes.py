@@ -1,8 +1,12 @@
 """Unit tests for the brute-force and grid neighbor indexes."""
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.core.greedy import greedy_disc
+from repro.datasets import uniform_dataset
 from repro.distance import EUCLIDEAN, HAMMING, MANHATTAN
 from repro.index import BruteForceIndex, GridIndex
 from repro.index.base import IndexStats
@@ -108,12 +112,48 @@ class TestGridIndex:
             GridIndex(categorical_points, HAMMING)
 
     def test_rejects_bad_cell_size(self, small_uniform):
-        with pytest.raises(ValueError, match="cell_size"):
-            GridIndex(small_uniform, EUCLIDEAN, cell_size=0.0)
+        for cell_size in (0.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="cell_size"):
+                GridIndex(small_uniform, EUCLIDEAN, cell_size=cell_size)
+
+    def test_fine_cells_cost_only_the_occupied_ones(self):
+        """A query box spanning ~4e8 empty cells at cell_size=1e-5
+        answers from the 2,000 occupied ones, well within a second."""
+        points = uniform_dataset(n=2000, seed=0).points
+        grid = GridIndex(points, EUCLIDEAN, cell_size=1e-5)
+        grid.accelerate = False
+        start = time.perf_counter()
+        got = grid.range_query(0, 0.1)
+        elapsed = time.perf_counter() - start
+        assert sorted(got) == BruteForceIndex(points, EUCLIDEAN).range_query(0, 0.1)
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "cell_size, greedy_counts, batch_counts",
+        [(0.03, (1000, 8652), (500, 16256)), (0.25, (1000, 53096), (500, 100328))],
+    )
+    def test_legacy_counters_are_pinned(self, cell_size, greedy_counts, batch_counts):
+        """``range_queries`` / ``distance_computations`` of the per-query
+        paths (recorded before the cell directory replaced the per-cell
+        dict): every occupied cell in the query box is charged, no
+        more."""
+        points = uniform_dataset(n=500, seed=3).points
+        grid = GridIndex(points, EUCLIDEAN, cell_size=cell_size)
+        grid.accelerate = False
+        result = greedy_disc(grid, 0.05)
+        assert len(result.selected) == 144
+        stats = result.stats
+        assert (stats.range_queries, stats.distance_computations) == greedy_counts
+        grid.stats.reset()
+        grid.range_query_batch(np.arange(500), 0.1)
+        stats = grid.stats
+        assert (stats.range_queries, stats.distance_computations) == batch_counts
 
     def test_query_outside_data_bbox(self, small_uniform):
         grid = GridIndex(small_uniform, EUCLIDEAN, cell_size=0.1)
         assert grid.range_query_point(np.array([5.0, 5.0]), 0.1) == []
+        # A negative radius inverts the query box: nothing, like brute force.
+        assert grid.range_query_point(small_uniform[0], -0.1) == []
 
     def test_ids_iteration_order(self, small_uniform):
         grid = GridIndex(small_uniform, EUCLIDEAN)

@@ -178,7 +178,7 @@ def _grid_emitter(points, metric, radius, capacity=None):
     """A kernel row emitter over ``points``' grid plan, and its arrays."""
     plan = csr_mod._plan_grid(points, metric, radius, None)
     cell_of = np.empty(plan.n, dtype=np.int64)
-    cell_of[plan.members] = np.repeat(np.arange(plan.m, dtype=np.int64), plan.sizes)
+    cell_of[plan.cells.members] = np.repeat(np.arange(plan.m, dtype=np.int64), plan.sizes)
     cand, auto, seg_ptr, _, _ = csr_mod._candidate_table(plan, cell_of, None)
     if capacity is None:
         capacity = int(np.diff(seg_ptr)[cell_of].sum()) + 1

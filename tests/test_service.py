@@ -617,6 +617,18 @@ class TestZoomInclude:
         assert payload["error"]["code"] == "bad_request"
         assert "include" in payload["error"]["message"]
 
+    def test_non_finite_cell_size_is_400(self, client):
+        """``json.loads`` accepts ``NaN``; the grid rejects it by name."""
+        status, payload = client.request(
+            "POST",
+            "/select",
+            {"dataset": "uniform", "radius": RADIUS,
+             "engine": {"name": "grid", "options": {"cell_size": float("nan")}}},
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "bad_request"
+        assert "cell_size" in payload["error"]["message"]
+
     def test_include_is_part_of_the_coalescing_key(self, service, monkeypatch):
         """Two concurrent zooms differing only in ``include`` both
         compute: a shared body would hand one of them the wrong shape."""
